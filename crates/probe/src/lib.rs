@@ -43,7 +43,7 @@ pub use intern::{intern, intern_arc, PathId};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use simrt::{SimTime, SyncEvent, SyncObserver, SyncOp, TaskId};
 
@@ -260,19 +260,6 @@ struct BusInner {
     /// Cached `sinks.len()`, so the emission fast path is one relaxed load.
     active: AtomicUsize,
     next_id: Mutex<u64>,
-    /// Live [`ProbeBus`] handles over this spine. Thread-local rings hold
-    /// only the `Arc<BusInner>`, not a handle — when this drops to zero the
-    /// bus is *defunct*: nobody can register, unregister or extract from it
-    /// again, so any events still buffered for it are dead and must be
-    /// discarded, not delivered into whatever simulation runs next on the
-    /// same host thread.
-    handles: AtomicUsize,
-}
-
-impl BusInner {
-    fn is_defunct(&self) -> bool {
-        self.handles.load(Ordering::Acquire) == 0
-    }
 }
 
 /// Deliver one batch to every sink of `bus`. The sink list is an immutable
@@ -294,25 +281,14 @@ fn deliver(bus: &BusInner, events: &[IoEvent]) {
 /// Each simulated [`Process`](../posix_sim/struct.Process.html) owns its own
 /// bus, so concurrently running simulations (e.g. parallel tests) never see
 /// each other's events.
+///
+/// Cloning is cheap and shares the underlying spine: clones see the same
+/// sinks and feed the same rings. The handles are the spine's only owners —
+/// thread-local rings refer to it weakly — so dropping the last handle
+/// drops the bus and its sinks, whichever threads still hold rings for it.
+#[derive(Clone)]
 pub struct ProbeBus {
     inner: Arc<BusInner>,
-}
-
-impl Clone for ProbeBus {
-    /// Cloning is cheap and shares the underlying spine: clones see the
-    /// same sinks and feed the same rings.
-    fn clone(&self) -> Self {
-        self.inner.handles.fetch_add(1, Ordering::AcqRel);
-        ProbeBus {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl Drop for ProbeBus {
-    fn drop(&mut self) {
-        self.inner.handles.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 impl Default for ProbeBus {
@@ -331,7 +307,6 @@ impl ProbeBus {
                 sinks: RwLock::new(Arc::new(Vec::new())),
                 active: AtomicUsize::new(0),
                 next_id: Mutex::new(0),
-                handles: AtomicUsize::new(1),
             }),
         }
     }
@@ -504,24 +479,28 @@ impl Ring {
 }
 
 /// Per-OS-thread (bus → ring) registry. Usually one entry (a process's own
-/// bus), two when a shared job spine mirrors events. Defunct-bus cleanup
+/// bus), two when a shared job spine mirrors events. Entries hold their bus
+/// weakly: carrier threads are pooled and outlive the simulations they
+/// carry, and an idle thread must not keep a finished simulation's bus —
+/// and every sink on it — alive. Cleanup of entries whose bus is gone
 /// happens at flush points only, never per event.
 #[derive(Default)]
 struct Registry {
-    entries: Vec<(Arc<BusInner>, Ring)>,
+    entries: Vec<(Weak<BusInner>, Ring)>,
 }
 
 impl Registry {
-    /// The ring for `bus`, created on first use. A linear `Arc::ptr_eq`
-    /// scan over one or two entries beats any hash.
+    /// The ring for `bus`, created on first use. A linear pointer scan over
+    /// one or two entries beats any hash; a dead entry cannot alias a live
+    /// bus because its `Weak` keeps the allocation's address reserved.
     #[inline]
     fn ring_for(&mut self, bus: &Arc<BusInner>) -> &mut Ring {
         let idx = self
             .entries
             .iter()
-            .position(|(b, _)| Arc::ptr_eq(b, bus))
+            .position(|(b, _)| std::ptr::eq(b.as_ptr(), Arc::as_ptr(bus)))
             .unwrap_or_else(|| {
-                self.entries.push((Arc::clone(bus), Ring::new()));
+                self.entries.push((Arc::downgrade(bus), Ring::new()));
                 self.entries.len() - 1
             });
         &mut self.entries[idx].1
@@ -551,19 +530,21 @@ pub fn flush_current_thread() {
     // so a pathological always-emitting sink cannot spin forever.
     for _round in 0..8 {
         // Move the pending batches out first so an emitting sink cannot
-        // observe a borrowed RefCell. Rings whose bus is defunct — every
+        // observe a borrowed RefCell. Rings whose bus is gone — every
         // `ProbeBus` handle dropped, e.g. a previous `Sim`'s process bus —
         // are discarded wholesale here: delivering them would carry a dead
         // simulation's events into whatever runs next on this host thread.
         let pending: Vec<(Arc<BusInner>, Vec<IoEvent>)> = RINGS.with(|r| {
             let mut reg = r.borrow_mut();
-            reg.entries.retain(|(bus, _)| !bus.is_defunct());
+            reg.entries.retain(|(bus, _)| bus.strong_count() > 0);
             let mut out = Vec::new();
             for (bus, ring) in reg.entries.iter_mut() {
                 if ring.len() > 0 {
                     let mut batch = Vec::with_capacity(ring.len());
                     ring.drain_into(&mut batch);
-                    out.push((Arc::clone(bus), batch));
+                    if let Some(bus) = bus.upgrade() {
+                        out.push((bus, batch));
+                    }
                 }
             }
             out
@@ -958,6 +939,22 @@ mod tests {
             "a defunct bus's buffered events must not be delivered"
         );
         assert_eq!(sink.len(), 1, "the live bus still flows");
+    }
+
+    #[test]
+    fn buffered_events_do_not_keep_a_dropped_bus_alive() {
+        // Rings refer to their bus weakly: dropping the last handle frees
+        // the bus and its sinks at once, even with events still buffered
+        // on this thread and no flush in between.
+        let sink = Arc::new(CollectingSink::new());
+        let weak = Arc::downgrade(&sink);
+        {
+            let bus = ProbeBus::new();
+            bus.register(sink);
+            bus.emit(ev(EventKind::Stat));
+        }
+        assert!(weak.upgrade().is_none(), "the sink outlived its bus");
+        flush_current_thread();
     }
 
     #[test]

@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod pool;
 mod sched;
 pub mod sync;
 mod time;

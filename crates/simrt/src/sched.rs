@@ -5,7 +5,8 @@
 //! A [`Sim`] hosts any number of *simulated threads* in two flavors behind
 //! one calendar:
 //!
-//! * **Carrier tasks** ([`Sim::spawn`]) are carried by a real OS thread.
+//! * **Carrier tasks** ([`Sim::spawn`]) are carried by a real OS thread,
+//!   taken from a process-wide pool.
 //!   User code reads like ordinary blocking code (plain POSIX-shaped calls
 //!   on a real stack), which is what the GOT-patched instrumentation
 //!   wrappers need.
@@ -51,6 +52,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard as PlMutexGuard, RwLock};
 
+use crate::pool::{self, Lease};
 use crate::time::SimTime;
 
 /// Process-wide hook fired just before control *genuinely* hands over
@@ -340,7 +342,7 @@ where
 /// Which execution flavor a task uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Flavor {
-    /// Parked OS thread, resumed by condvar handover.
+    /// Pooled OS thread, parked on its own condvar between dispatches.
     Carrier,
     /// Stackless state machine, polled inline by the dispatch loop.
     Event,
@@ -382,6 +384,10 @@ struct TaskInfo {
     /// The state machine of an event task, parked here between polls.
     /// Taken out (so the scheduler lock can be released) while polling.
     machine: Option<Box<dyn EventTask>>,
+    /// A carrier's own park, waited on with the state lock until the
+    /// calendar dispatches it; a handover notifies exactly this one. `None`
+    /// for event tasks and once the carrier has finished.
+    park: Option<Arc<Condvar>>,
 }
 
 /// An entry in the run calendar. Ordered by (wake time, sequence) so that
@@ -475,7 +481,8 @@ enum Dispatch {
 
 pub(crate) struct SimInner {
     state: Mutex<SchedState>,
-    cv: Condvar,
+    /// Where the host in [`Sim::run`] waits for the scheduler to go idle.
+    host: Condvar,
     /// Observer for synchronization events ([`Sim::set_sync_observer`]).
     sync_observer: RwLock<Option<Arc<dyn SyncObserver>>>,
     /// Cheap pre-check so [`emit_sync`] costs one relaxed load when no
@@ -707,6 +714,42 @@ impl SimInner {
         }
     }
 
+    /// Wake exactly the threads that must act on the state just published:
+    /// the dispatched carrier's park, or — with the scheduler idle — the
+    /// host in [`Sim::run`]. A poisoned sim wakes every park as well, so
+    /// carriers parked anywhere unwind and exit.
+    fn handover(&self, st: &SchedState) {
+        if st.poison.is_some() {
+            for park in st.tasks.values().filter_map(|i| i.park.as_ref()) {
+                park.notify_one();
+            }
+            self.host.notify_one();
+        } else if let Some(tid) = st.running {
+            if let Some(park) = st.tasks.get(&tid).and_then(|i| i.park.as_ref()) {
+                park.notify_one();
+            }
+        } else {
+            self.host.notify_one();
+        }
+    }
+
+    /// Park the calling carrier `tid` until the calendar dispatches it or
+    /// the sim is poisoned. Only `tid`'s own park is waited on, so no other
+    /// handover wakes this thread.
+    fn wait_turn(st: &mut PlMutexGuard<'_, SchedState>, tid: TaskId) {
+        if st.running == Some(tid) || st.poison.is_some() {
+            return;
+        }
+        let park = st
+            .tasks
+            .get(&tid)
+            .and_then(|i| i.park.clone())
+            .expect("a waiting carrier has a park");
+        while st.running != Some(tid) && st.poison.is_none() {
+            park.wait(st);
+        }
+    }
+
     fn poison_check(st: &SchedState) {
         if let Some(msg) = &st.poison {
             panic!("simulation poisoned: {msg}");
@@ -718,7 +761,7 @@ impl SimInner {
 /// out: event tasks are polled inline on the calling OS thread (scheduler
 /// lock released for the poll, [`run_switch_hook`] fired after each — a
 /// poll boundary is a genuine handover); the loop returns `true` as soon as
-/// a carrier is dispatched (the caller notifies its parked thread) and
+/// a carrier is dispatched (the caller wakes its park) and
 /// `false` when nothing is runnable (the caller runs the deadlock check).
 ///
 /// Every handover point pumps: blocking carriers, finishing tasks, and the
@@ -917,7 +960,7 @@ impl Sim {
                     poison: None,
                     stats: SchedStats::default(),
                 }),
-                cv: Condvar::new(),
+                host: Condvar::new(),
                 sync_observer: RwLock::new(None),
                 sync_active: AtomicBool::new(false),
                 schedule_policy: RwLock::new(None),
@@ -962,6 +1005,10 @@ impl Sim {
     /// dispatches it (or, when called from a running simulated thread, until
     /// the spawner blocks).
     ///
+    /// The OS thread is the idle thread of a process-wide pool with the
+    /// lowest index, so a simulation that spawns its carriers in the same
+    /// order runs each of them on the same thread every time.
+    ///
     /// For pure coordination work (timers, tickers, collective waiters) use
     /// [`Sim::spawn_event`]: same calendar, same determinism, no OS thread.
     pub fn spawn<T, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
@@ -971,6 +1018,7 @@ impl Sim {
     {
         let name = name.into();
         let inner = self.inner.clone();
+        let park = Arc::new(Condvar::new());
         let tid = {
             let mut st = self.inner.state.lock();
             let tid = TaskId(st.next_tid);
@@ -992,6 +1040,7 @@ impl Sim {
                     join_waiters: Vec::new(),
                     wait_ctx: None,
                     machine: None,
+                    park: Some(park),
                 },
             );
             let now = st.now;
@@ -1005,25 +1054,20 @@ impl Sim {
         if current_matches(&inner) {
             emit_sync(SyncOp::Spawn, tid.0, &task_label);
         }
-        let result: Arc<Mutex<Option<std::thread::Result<T>>>> = Arc::new(Mutex::new(None));
-        let slot = result.clone();
-        let carrier_inner = inner.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("sim:{name}"))
-            .spawn(move || {
-                CURRENT.with(|c| *c.borrow_mut() = Some((carrier_inner.clone(), tid)));
-                // Wait for our first dispatch.
-                {
-                    let mut st = carrier_inner.state.lock();
-                    while st.running != Some(tid) && st.poison.is_none() {
-                        carrier_inner.cv.wait(&mut st);
-                    }
-                    if st.poison.is_some() && st.running != Some(tid) {
-                        // Simulation died before we ever ran; unwind quietly.
-                        finish_task(&carrier_inner, tid, None);
-                        return;
-                    }
-                }
+        let done: Arc<Completion<T>> = Arc::new(Completion {
+            slot: Mutex::new((false, None)),
+            cv: Condvar::new(),
+        });
+        let completion = done.clone();
+        pool::submit(Box::new(move |mut lease: Lease| {
+            CURRENT.with(|c| *c.borrow_mut() = Some((inner.clone(), tid)));
+            // Wait for our first dispatch.
+            let dispatched = {
+                let mut st = inner.state.lock();
+                SimInner::wait_turn(&mut st, tid);
+                st.running == Some(tid)
+            };
+            let (result, panic_msg) = if dispatched {
                 let r = catch_unwind(AssertUnwindSafe(f));
                 // The task's clock is final after this point; joiners
                 // inherit it through the Join edge.
@@ -1033,15 +1077,29 @@ impl Sim {
                 // emitted before the unwind are not lost).
                 run_switch_hook();
                 let panic_msg = r.as_ref().err().map(panic_message);
-                *slot.lock() = Some(r);
-                finish_task(&carrier_inner, tid, panic_msg);
-            })
-            .expect("failed to spawn carrier thread");
+                (Some(r), panic_msg)
+            } else {
+                // Simulation died before we ever ran; unwind quietly.
+                drop(f);
+                (None, None)
+            };
+            // The task's own code is done: hand the worker back before the
+            // handover below, so by the time `Sim::run` sees the last task
+            // finish, every worker of this sim is idle again.
+            lease.release();
+            finish_task(&inner, tid, panic_msg);
+            // Leave the worker clean for its next task: no simulation (and
+            // nothing it keeps alive) stays reachable from this thread.
+            CURRENT.with(|c| c.borrow_mut().take());
+            drop(inner);
+            let mut slot = completion.slot.lock();
+            *slot = (true, result);
+            completion.cv.notify_all();
+        }));
         JoinHandle {
-            inner,
+            inner: self.inner.clone(),
             tid,
-            result,
-            carrier: Some(handle),
+            done,
         }
     }
 
@@ -1078,6 +1136,7 @@ impl Sim {
                     join_waiters: Vec::new(),
                     wait_ctx: None,
                     machine: Some(Box::new(machine)),
+                    park: None,
                 },
             );
             let now = st.now;
@@ -1110,31 +1169,30 @@ impl Sim {
             assert!(!st.started, "Sim::run called twice");
             st.started = true;
             if st.running.is_none() {
-                if pump(&self.inner, &mut st) {
-                    self.inner.cv.notify_all();
-                } else {
+                if !pump(&self.inner, &mut st) {
                     SimInner::check_deadlock(&mut st);
                 }
+                self.inner.handover(&st);
             }
         }
         let mut st = self.inner.state.lock();
         while st.live > 0 && st.poison.is_none() {
-            self.inner.cv.wait(&mut st);
+            self.inner.host.wait(&mut st);
             // Belt and braces: if we were woken with the scheduler idle
             // (e.g. a host-side spawn while everything was parked), drive
             // the calendar from here.
             if st.running.is_none() && st.live > 0 && st.poison.is_none() {
-                if pump(&self.inner, &mut st) {
-                    self.inner.cv.notify_all();
-                } else {
+                if !pump(&self.inner, &mut st) {
                     SimInner::check_deadlock(&mut st);
                 }
+                self.inner.handover(&st);
             }
         }
         if let Some(msg) = st.poison.clone() {
+            // Release any carriers still parked so their threads return to
+            // the pool.
+            self.inner.handover(&st);
             drop(st);
-            // Release any carriers still parked so their OS threads exit.
-            self.inner.cv.notify_all();
             panic!("{msg}");
         }
     }
@@ -1186,6 +1244,7 @@ fn finish_common(st: &mut SchedState, tid: TaskId, panic_msg: Option<String>) {
     let waiters = if let Some(info) = st.tasks.get_mut(&tid) {
         info.state = TaskState::Finished;
         info.machine = None;
+        info.park = None;
         std::mem::take(&mut info.join_waiters)
     } else {
         Vec::new()
@@ -1222,15 +1281,22 @@ fn finish_task(inner: &Arc<SimInner>, tid: TaskId, panic_msg: Option<String>) {
             SimInner::check_deadlock(&mut st);
         }
     }
-    inner.cv.notify_all();
+    inner.handover(&st);
+}
+
+/// A carrier task's outcome, published by its pooled thread once the
+/// thread has let go of the task entirely.
+struct Completion<T> {
+    /// (done, result); the result is `None` for a task that never ran.
+    slot: Mutex<(bool, Option<std::thread::Result<T>>)>,
+    cv: Condvar,
 }
 
 /// Handle to a spawned carrier task.
 pub struct JoinHandle<T> {
     inner: Arc<SimInner>,
     tid: TaskId,
-    result: Arc<Mutex<Option<std::thread::Result<T>>>>,
-    carrier: Option<std::thread::JoinHandle<()>>,
+    done: Arc<Completion<T>>,
 }
 
 impl<T> JoinHandle<T> {
@@ -1246,14 +1312,15 @@ impl<T> JoinHandle<T> {
     /// # Panics
     ///
     /// Panics if the joined thread panicked.
-    pub fn join(mut self) -> T {
+    pub fn join(self) -> T {
         if on_sim_thread() {
             join_sim_side(&self.inner, self.tid);
         }
-        if let Some(c) = self.carrier.take() {
-            let _ = c.join();
+        let mut slot = self.done.slot.lock();
+        while !slot.0 {
+            self.done.cv.wait(&mut slot);
         }
-        match self.result.lock().take() {
+        match slot.1.take() {
             Some(Ok(v)) => v,
             Some(Err(e)) => std::panic::resume_unwind(e),
             None => panic!("joined thread produced no result (never ran?)"),
@@ -1420,10 +1487,8 @@ pub fn sleep(d: Duration) {
         SimInner::push_ready(&mut st, tid, wake);
         st.running = None;
         pump(inner, &mut st);
-        inner.cv.notify_all();
-        while st.running != Some(tid) && st.poison.is_none() {
-            inner.cv.wait(&mut st);
-        }
+        inner.handover(&st);
+        SimInner::wait_turn(&mut st, tid);
         SimInner::poison_check(&st);
     });
 }
@@ -1457,10 +1522,8 @@ pub fn yield_now() {
         SimInner::push_ready(&mut st, tid, now);
         st.running = None;
         pump(inner, &mut st);
-        inner.cv.notify_all();
-        while st.running != Some(tid) && st.poison.is_none() {
-            inner.cv.wait(&mut st);
-        }
+        inner.handover(&st);
+        SimInner::wait_turn(&mut st, tid);
         SimInner::poison_check(&st);
     });
 }
@@ -1505,10 +1568,8 @@ pub fn block(deadline: Option<SimTime>) -> WakeReason {
         if !pump(inner, &mut st) {
             SimInner::check_deadlock(&mut st);
         }
-        inner.cv.notify_all();
-        while st.running != Some(tid) && st.poison.is_none() {
-            inner.cv.wait(&mut st);
-        }
+        inner.handover(&st);
+        SimInner::wait_turn(&mut st, tid);
         SimInner::poison_check(&st);
         let info = st.tasks.get_mut(&tid).expect("unknown task");
         info.wait_ctx = None;
@@ -1860,6 +1921,41 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("bad", || panic!("boom"));
         sim.run();
+    }
+
+    #[test]
+    fn poison_before_first_dispatch_releases_waiting_carriers() {
+        // Regression: carriers that wake to poison before their first
+        // dispatch finish without running. That path once re-locked the
+        // scheduler state it already held, hanging the carrier with the
+        // lock and, behind it, `run()` and every later call on the sim.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let host = std::thread::spawn(move || {
+            let sim = Sim::new();
+            sim.spawn("bad", || panic!("boom"));
+            let peers: Vec<_> = (0..8)
+                .map(|i| sim.spawn(format!("peer{i}"), || sleep(Duration::from_millis(1))))
+                .collect();
+            let r = catch_unwind(AssertUnwindSafe(|| sim.run()));
+            assert!(r.is_err(), "run() must propagate the panic");
+            for p in peers {
+                let never_ran = catch_unwind(AssertUnwindSafe(|| p.join()));
+                assert!(never_ran.is_err(), "a peer that never ran has no result");
+            }
+            tx.send(sim.live_tasks()).unwrap();
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(live) => {
+                host.join().expect("host thread finished");
+                assert_eq!(live, 0);
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("run()/live_tasks() hung after a pre-dispatch poison")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(host.join().expect_err("host thread panicked"))
+            }
+        }
     }
 
     #[test]
