@@ -1,43 +1,41 @@
-//! Log-depth job reduction: parallel Darshan's shared-file reduction as a
-//! k-ary tree instead of a flat left fold.
+//! Job-level reduction: parallel Darshan's shared-file reduction at
+//! `MPI_Finalize`, as a log-depth k-ary tree.
 //!
-//! [`crate::job::reduce_job_sessions`] walks every rank's records in one
-//! linear pass — fine at `world_size == 4`, an O(N) serial bottleneck at
-//! 1k+ ranks. This module rebuilds the same reduction as a reduction
-//! *tree*: each leaf is one rank's session, each inner node pairwise-merges
-//! the partially reduced groups of its children (counters sum, byte
-//! extrema max, first timestamps min-nonzero, last timestamps max), and
-//! only the root materializes the final records. Two order-sensitive
-//! ingredients of the flat fold — f64 cumulative-time sums and the
-//! bounded common-access tracker — are carried up the tree as rank-ordered
-//! deferred lists and replayed at the root, which makes the tree output
-//! **byte-identical** to the flat fold for every world size and tree shape
-//! (see `darshan_sim::reduce::PosixFold` and the proptests in
-//! `tests/proptests_extensions.rs`).
+//! Each leaf is one rank's session; each inner node merges the partially
+//! reduced record groups of its children with the one record-merge
+//! operator, [`darshan_sim::reduce::Fold`] (counters sum, byte extrema
+//! max, first timestamps min-nonzero, last timestamps max, the
+//! order-sensitive cumulative times and access slots deferred and replayed
+//! in rank order), and only the root materializes the final records. The
+//! result does not depend on the tree shape, so a flat left fold is just a
+//! one-level tree with `arity >= world size` (proptested against a flat
+//! oracle in `tests/proptests_extensions.rs`). A lone session is a tree
+//! with no combine level: its records, names, window and DXT order pass
+//! through untouched, which keeps the `world_size == 1` job report
+//! byte-identical to the single-process one.
 //!
-//! Two execution shapes share the same combine code:
+//! Two execution shapes step the same tree:
 //!
-//! * [`reduce_job_sessions_tree`] — host-side, optionally fanning each
-//!   tree level across OS threads (`std::thread::scope`), for callers that
-//!   want the answer now;
+//! * [`reduce_job_sessions_tree`] — host-side, fanning each tree level
+//!   across OS threads (`std::thread::scope`), for callers that want the
+//!   answer now;
 //! * [`spawn_tree_reduce`] — a simrt *event task* that performs one tree
 //!   level per poll and charges the level's modeled parallel cost
 //!   (`max` over its combines, not their sum) as virtual time, so a
-//!   simulated job's reduce wall time grows ~O(log N) while the flat
-//!   fold's grows O(N). The fleet bench gates on exactly this ratio.
+//!   simulated job's reduce wall time grows ~O(log N) while a flat fold's
+//!   would grow O(N). The fleet bench gates on exactly this ratio.
 
-use std::collections::hash_map::Entry as HEntry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use darshan_sim::reduce::{PosixFold, StdioFold};
-use darshan_sim::DxtSegment;
+use darshan_sim::reduce::FoldMap;
+use darshan_sim::{DxtSegment, PosixRecord, StdioRecord};
 use parking_lot::Mutex;
 use simrt::{EventCx, EventHandle, EventPoll, Sim};
 
 use crate::analysis::{analyze, per_file, SnapshotDiff};
-use crate::job::{missing_ranks_of, reduce_job_sessions_sized, JobReport, RankSession};
+use crate::job::{JobReport, RankSession};
 use crate::report::TfDarshanReport;
 
 /// Modeled virtual cost of one pairwise record-group merge (a few dozen
@@ -47,23 +45,17 @@ const MERGE_NS: u64 = 150;
 /// (matches the default [`mpi_sim::NetworkModel`] latency).
 const COMBINE_BASE_NS: u64 = 2_000;
 
-/// Shape of the reduction tree and of its host-side execution.
+/// Shape of the reduction tree.
 #[derive(Clone, Copy, Debug)]
 pub struct TreeReduceConfig {
     /// Children per inner node (≥ 2). 2 is the classic binary reduction;
     /// wider trees trade depth for per-node work.
     pub arity: usize,
-    /// Fan tree levels across OS threads on the host path. The result is
-    /// bit-identical either way — only wall time changes.
-    pub host_parallel: bool,
 }
 
 impl Default for TreeReduceConfig {
     fn default() -> Self {
-        TreeReduceConfig {
-            arity: 2,
-            host_parallel: true,
-        }
+        TreeReduceConfig { arity: 2 }
     }
 }
 
@@ -77,9 +69,10 @@ pub struct TreeReduceStats {
     /// Pairwise group merges performed across the whole tree.
     pub pair_merges: u64,
     /// Modeled parallel reduce time: per level, the *slowest* combine
-    /// (they run concurrently); levels sum. Grows ~O(log N).
+    /// (they run concurrently); levels sum. Grows ~O(log N). Zero for a
+    /// single session, which has nothing to reduce.
     pub modeled: Duration,
-    /// Modeled cost of the flat left fold over the same sessions (every
+    /// Modeled cost of a flat left fold over the same sessions (every
     /// merge serial). Grows O(N); the fleet bench reports both.
     pub modeled_flat: Duration,
 }
@@ -88,9 +81,9 @@ pub struct TreeReduceStats {
 /// session metadata (names first-wins in rank order, window min/max,
 /// partial OR, DXT kept merge-sorted by completion time).
 struct ReduceNode {
-    posix: BTreeMap<u64, PosixFold>,
-    stdio: BTreeMap<u64, StdioFold>,
-    names: HashMap<u64, String>,
+    posix: FoldMap<PosixRecord>,
+    stdio: FoldMap<StdioRecord>,
+    names: Arc<HashMap<u64, String>>,
     window: (f64, f64),
     partial: bool,
     dxt: Vec<(u64, DxtSegment)>,
@@ -107,29 +100,20 @@ fn dxt_cmp(a: &(u64, DxtSegment), b: &(u64, DxtSegment)) -> std::cmp::Ordering {
 }
 
 impl ReduceNode {
-    /// Leaf over one rank's session. The leaf's DXT run is stable-sorted
-    /// so inner nodes can merge sorted runs; ties keep session order,
-    /// which composed up the tree reproduces the flat path's stable sort
-    /// of the rank-ordered concatenation.
-    fn leaf(s: &RankSession) -> ReduceNode {
-        let posix = s
-            .diff
-            .posix
-            .iter()
-            .map(|r| (r.rec_id, PosixFold::leaf(r.clone())))
-            .collect();
-        let stdio = s
-            .diff
-            .stdio
-            .iter()
-            .map(|r| (r.rec_id, StdioFold::leaf(r.clone())))
-            .collect();
+    /// Leaf over one rank's session. When the leaf will be combined
+    /// (`sort_dxt`), its DXT run is stable-sorted so inner nodes can merge
+    /// sorted runs; ties keep session order, so the root holds the stable
+    /// sort of the rank-ordered concatenation. A lone session keeps its
+    /// own DXT order.
+    fn leaf(s: &RankSession, sort_dxt: bool) -> ReduceNode {
         let mut dxt = s.dxt.clone();
-        dxt.sort_by(dxt_cmp);
+        if sort_dxt {
+            dxt.sort_by(dxt_cmp);
+        }
         ReduceNode {
-            posix,
-            stdio,
-            names: (*s.diff.names).clone(),
+            posix: s.diff.posix.iter().cloned().collect(),
+            stdio: s.diff.stdio.iter().cloned().collect(),
+            names: s.diff.names.clone(),
             window: s.diff.window,
             partial: s.diff.partial,
             dxt,
@@ -146,48 +130,16 @@ impl ReduceNode {
     /// Returns the number of pairwise group merges performed — the
     /// combine's modeled work.
     fn absorb(&mut self, right: ReduceNode) -> u64 {
-        let mut merges = 0u64;
-        for (id, fold) in right.posix {
-            match self.posix.entry(id) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(fold);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let left = std::mem::replace(
-                        o.get_mut(),
-                        PosixFold::leaf(darshan_sim::PosixRecord::new(id)),
-                    );
-                    *o.get_mut() = left.absorb(fold);
-                    merges += 1;
-                }
-            }
-        }
-        for (id, fold) in right.stdio {
-            match self.stdio.entry(id) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(fold);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let left = std::mem::replace(
-                        o.get_mut(),
-                        StdioFold::leaf(darshan_sim::StdioRecord::new(id)),
-                    );
-                    *o.get_mut() = left.absorb(fold);
-                    merges += 1;
-                }
-            }
-        }
-        for (id, name) in right.names {
-            if let HEntry::Vacant(v) = self.names.entry(id) {
-                v.insert(name);
-            }
+        let merges = self.posix.absorb(right.posix) + self.stdio.absorb(right.stdio);
+        let names = Arc::make_mut(&mut self.names);
+        for (id, name) in right.names.iter() {
+            names.entry(*id).or_insert_with(|| name.clone());
         }
         self.window.0 = self.window.0.min(right.window.0);
         self.window.1 = self.window.1.max(right.window.1);
         self.partial |= right.partial;
         // Merge the sorted DXT runs, left-first on ties: pairwise this is
-        // a stable mergesort of the session-ordered concatenation, i.e.
-        // exactly the flat path's stable `sort_by`.
+        // a stable mergesort of the session-ordered concatenation.
         let left_dxt = std::mem::take(&mut self.dxt);
         self.dxt = merge_dxt(left_dxt, right.dxt);
         merges
@@ -198,76 +150,53 @@ fn merge_dxt(
     left: Vec<(u64, DxtSegment)>,
     right: Vec<(u64, DxtSegment)>,
 ) -> Vec<(u64, DxtSegment)> {
-    if right.is_empty() {
-        return left;
-    }
-    if left.is_empty() {
-        return right;
-    }
     let mut out = Vec::with_capacity(left.len() + right.len());
-    let mut li = left.into_iter().peekable();
-    let mut ri = right.into_iter().peekable();
-    loop {
-        match (li.peek(), ri.peek()) {
-            (Some(l), Some(r)) => {
-                if dxt_cmp(r, l) == std::cmp::Ordering::Less {
-                    out.push(ri.next().expect("peeked"));
-                } else {
-                    out.push(li.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(li.next().expect("peeked")),
-            (None, Some(_)) => out.push(ri.next().expect("peeked")),
-            (None, None) => break,
+    let mut right = right.into_iter().peekable();
+    for l in left {
+        while let Some(r) = right.next_if(|r| dxt_cmp(r, &l) == std::cmp::Ordering::Less) {
+            out.push(r);
         }
+        out.push(l);
+    }
+    out.extend(right);
+    out
+}
+
+/// Split `items` into consecutive runs of `n` (the last may be shorter).
+fn chunks<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
+    let mut it = items.into_iter().peekable();
+    let mut out = Vec::new();
+    while it.peek().is_some() {
+        out.push(it.by_ref().take(n).collect());
     }
     out
 }
 
 /// One tree level: fold `arity`-sized groups of adjacent nodes, left to
-/// right. Returns the next level plus this level's modeled parallel cost
-/// (`max` over combines) and its total pairwise merges.
+/// right, fanning the combines across OS threads when `parallel`. Returns
+/// the next level plus this level's modeled parallel cost (`max` over
+/// combines) and its total pairwise merges.
 fn run_level(
     nodes: Vec<ReduceNode>,
     arity: usize,
-    host_parallel: bool,
+    parallel: bool,
 ) -> (Vec<ReduceNode>, Duration, u64) {
     let fold_group = |group: Vec<ReduceNode>| -> (ReduceNode, u64) {
         let mut it = group.into_iter();
         let mut acc = it.next().expect("non-empty group");
-        let mut merges = 0u64;
-        for right in it {
-            merges += acc.absorb(right);
-        }
+        let merges = it.map(|right| acc.absorb(right)).sum();
         (acc, merges)
     };
-
-    // Chunk into combine groups.
-    let mut groups: Vec<Vec<ReduceNode>> = Vec::new();
-    let mut cur: Vec<ReduceNode> = Vec::with_capacity(arity);
-    for n in nodes {
-        cur.push(n);
-        if cur.len() == arity {
-            groups.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        groups.push(cur);
-    }
-
+    let groups = chunks(nodes, arity);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8);
-    let results: Vec<(ReduceNode, u64)> = if host_parallel && threads > 1 && groups.len() >= 4 {
+    let results: Vec<(ReduceNode, u64)> = if parallel && threads > 1 && groups.len() >= 4 {
         // Contiguous batches, one OS thread each — the combines are
         // independent, so the output is bit-identical to the serial walk.
         let per = groups.len().div_ceil(threads);
-        let mut batches: Vec<Vec<Vec<ReduceNode>>> = Vec::new();
-        let mut it = groups.into_iter().peekable();
-        while it.peek().is_some() {
-            batches.push(it.by_ref().take(per).collect());
-        }
+        let batches = chunks(groups, per);
         std::thread::scope(|scope| {
             let handles: Vec<_> = batches
                 .into_iter()
@@ -295,82 +224,116 @@ fn run_level(
     (next, cost, level_merges)
 }
 
-/// Materialize the root node into the job report — the same final steps
-/// as the flat path (BTreeMap walk keeps rec-id order; names become the
-/// shared `Arc`; `analyze`/`per_file` run over the merged diff).
-fn finish_root(root: ReduceNode, sessions: &[RankSession], world_size: u32) -> JobReport {
-    let merged_posix: Vec<darshan_sim::PosixRecord> =
-        root.posix.into_values().map(PosixFold::finish).collect();
-    let merged_stdio: Vec<darshan_sim::StdioRecord> =
-        root.stdio.into_values().map(StdioFold::finish).collect();
-    let job_diff = SnapshotDiff {
-        window: root.window,
-        posix: merged_posix,
-        stdio: merged_stdio,
-        names: Arc::new(root.names),
-        partial: root.partial,
-    };
-    let job_dxt = root.dxt;
-    let (io, stdio) = analyze(&job_diff, &job_dxt);
-    let job = TfDarshanReport {
-        window: job_diff.window,
-        io,
-        stdio,
-        files: per_file(&job_diff),
-        sanitizer: None,
-        scheduler: None,
-        explore: None,
-    };
-    JobReport {
-        world_size,
-        missing_ranks: missing_ranks_of(sessions, world_size),
-        job,
-        per_rank: sessions.iter().map(|s| s.report()).collect(),
+/// A reduction in progress: the current tree level and the stats so far.
+/// Both entries drive it the same way — build the leaves, step levels
+/// until one node is left, finish the root — so the leaf cost, the level
+/// cost and the flat-fold cost are each modeled here once.
+struct Tree {
+    nodes: Vec<ReduceNode>,
+    stats: TreeReduceStats,
+}
+
+impl Tree {
+    /// Build one leaf per session. Returns the tree and the leaf cost to
+    /// charge — the heaviest leaf, since every rank builds its own leaf
+    /// concurrently — or `None` for a lone session, which has nothing to
+    /// reduce and costs nothing.
+    fn new(sessions: &[RankSession]) -> (Tree, Option<Duration>) {
+        let lone = sessions.len() == 1;
+        let nodes: Vec<ReduceNode> = sessions
+            .iter()
+            .map(|s| ReduceNode::leaf(s, !lone))
+            .collect();
+        let mut stats = TreeReduceStats {
+            leaves: nodes.len(),
+            ..TreeReduceStats::default()
+        };
+        if lone {
+            return (Tree { nodes, stats }, None);
+        }
+        let heaviest = nodes.iter().map(ReduceNode::weight).max().unwrap_or(0);
+        let flat_weight: u64 = nodes.iter().map(ReduceNode::weight).sum();
+        let cost = Duration::from_nanos(COMBINE_BASE_NS + MERGE_NS * heaviest);
+        stats.modeled = cost;
+        stats.modeled_flat =
+            Duration::from_nanos(COMBINE_BASE_NS * nodes.len() as u64 + MERGE_NS * flat_weight);
+        (Tree { nodes, stats }, Some(cost))
+    }
+
+    /// Combine one level. Returns its modeled cost, or `None` once only
+    /// the root is left.
+    fn step(&mut self, arity: usize, parallel: bool) -> Option<Duration> {
+        if self.nodes.len() <= 1 {
+            return None;
+        }
+        let (next, cost, merges) = run_level(std::mem::take(&mut self.nodes), arity, parallel);
+        self.nodes = next;
+        self.stats.levels += 1;
+        self.stats.pair_merges += merges;
+        self.stats.modeled += cost;
+        Some(cost)
+    }
+
+    /// Materialize the root into the job report: finished records in
+    /// rec-id order, `analyze`/`per_file` over the merged diff.
+    fn finish(mut self, sessions: &[RankSession], world_size: u32) -> (JobReport, TreeReduceStats) {
+        let root = self.nodes.pop().expect("root");
+        let job_diff = SnapshotDiff {
+            window: root.window,
+            posix: root.posix.finish(),
+            stdio: root.stdio.finish(),
+            names: root.names,
+            partial: root.partial,
+        };
+        let (io, stdio) = analyze(&job_diff, &root.dxt);
+        let job = TfDarshanReport {
+            window: job_diff.window,
+            io,
+            stdio,
+            files: per_file(&job_diff),
+            sanitizer: None,
+            scheduler: None,
+            explore: None,
+        };
+        let have: std::collections::HashSet<u32> = sessions.iter().map(|s| s.rank).collect();
+        let report = JobReport {
+            world_size,
+            missing_ranks: (0..world_size).filter(|r| !have.contains(r)).collect(),
+            job,
+            per_rank: sessions.iter().map(|s| s.report()).collect(),
+        };
+        (report, self.stats)
     }
 }
 
-/// Reduce per-rank sessions with a log-depth k-ary tree. Byte-identical
-/// to [`crate::job::reduce_job_sessions_sized`] over the same sessions
-/// (proptested); a single session passes through untouched, preserving
-/// the `world_size == 1` byte-identity invariant. `world_size` is the
-/// job's true size — sessions may be fewer (the report lists the missing
-/// ranks).
+/// Reject input no tree can reduce, at the call site.
+fn check_input(sessions: &[RankSession], config: &TreeReduceConfig) {
+    assert!(
+        !sessions.is_empty(),
+        "job reduction needs at least one rank"
+    );
+    assert!(config.arity >= 2, "reduction tree needs arity >= 2");
+}
+
+/// Reduce per-rank sessions with a log-depth k-ary tree, each level's
+/// combines fanned across OS threads. The result does not depend on
+/// `config.arity` (proptested); a single session passes through
+/// untouched, preserving the `world_size == 1` byte-identity invariant.
+/// `world_size` is the job's true size — sessions may be fewer (the
+/// report lists the missing ranks).
+///
+/// # Panics
+///
+/// If `sessions` is empty or `config.arity < 2`.
 pub fn reduce_job_sessions_tree(
     sessions: &[RankSession],
     world_size: u32,
     config: &TreeReduceConfig,
 ) -> (JobReport, TreeReduceStats) {
-    assert!(config.arity >= 2, "reduction tree needs arity >= 2");
-    if sessions.len() <= 1 {
-        let report = reduce_job_sessions_sized(sessions, world_size);
-        let stats = TreeReduceStats {
-            leaves: sessions.len(),
-            ..TreeReduceStats::default()
-        };
-        return (report, stats);
-    }
-
-    let mut nodes: Vec<ReduceNode> = sessions.iter().map(ReduceNode::leaf).collect();
-    let mut stats = TreeReduceStats {
-        leaves: nodes.len(),
-        ..TreeReduceStats::default()
-    };
-    let leaf_cost = Duration::from_nanos(
-        COMBINE_BASE_NS + MERGE_NS * nodes.iter().map(ReduceNode::weight).max().unwrap_or(0),
-    );
-    stats.modeled += leaf_cost;
-    let flat_weight: u64 = nodes.iter().map(ReduceNode::weight).sum();
-    stats.modeled_flat =
-        Duration::from_nanos(COMBINE_BASE_NS * nodes.len() as u64 + MERGE_NS * flat_weight);
-    while nodes.len() > 1 {
-        let (next, cost, merges) = run_level(nodes, config.arity, config.host_parallel);
-        nodes = next;
-        stats.levels += 1;
-        stats.pair_merges += merges;
-        stats.modeled += cost;
-    }
-    let root = nodes.pop().expect("root");
-    (finish_root(root, sessions, world_size), stats)
+    check_input(sessions, config);
+    let (mut tree, _) = Tree::new(sessions);
+    while tree.step(config.arity, true).is_some() {}
+    tree.finish(sessions, world_size)
 }
 
 /// Handle to an in-flight [`spawn_tree_reduce`] event task; the outcome
@@ -397,61 +360,124 @@ impl TreeReduceHandle {
 /// the level — combines of one level are independent and run concurrently
 /// on a real cluster) as virtual time. A 1k-rank reduce is then ~10 level
 /// charges on the calendar instead of 1k serial merges — the fleet bench's
-/// reduce-time curve measures exactly this task.
+/// reduce-time curve measures exactly this task. A single session finishes
+/// on the first poll and charges nothing.
+///
+/// # Panics
+///
+/// Here, not inside a later poll, if `sessions` is empty or
+/// `config.arity < 2`.
 pub fn spawn_tree_reduce(
     sim: &Sim,
     sessions: Vec<RankSession>,
     world_size: u32,
     config: TreeReduceConfig,
 ) -> TreeReduceHandle {
-    assert!(config.arity >= 2, "reduction tree needs arity >= 2");
+    check_input(&sessions, &config);
     let slot: Arc<Mutex<Option<(JobReport, TreeReduceStats)>>> = Arc::new(Mutex::new(None));
     let out = slot.clone();
-    let mut nodes: Option<Vec<ReduceNode>> = None;
-    let mut stats = TreeReduceStats::default();
+    let mut tree: Option<Tree> = None;
     let handle = sim.spawn_event("tree-reduce", move |_cx: &mut EventCx| {
-        if sessions.len() <= 1 {
-            let report = reduce_job_sessions_sized(&sessions, world_size);
-            stats.leaves = sessions.len();
-            *out.lock() = Some((report, std::mem::take(&mut stats)));
-            return EventPoll::Done;
-        }
-        match nodes.take() {
+        // Event-task polls run inline on the scheduler, so the host work
+        // stays serial here while the *virtual* charge models each
+        // level's combines running concurrently.
+        let charge = match tree.as_mut() {
+            Some(t) => t.step(config.arity, false),
             None => {
-                // First poll: build the leaves (all ranks in parallel on a
-                // real cluster — charge the heaviest).
-                let leaves: Vec<ReduceNode> = sessions.iter().map(ReduceNode::leaf).collect();
-                stats.leaves = leaves.len();
-                let flat_weight: u64 = leaves.iter().map(ReduceNode::weight).sum();
-                stats.modeled_flat = Duration::from_nanos(
-                    COMBINE_BASE_NS * leaves.len() as u64 + MERGE_NS * flat_weight,
-                );
-                let cost = Duration::from_nanos(
-                    COMBINE_BASE_NS
-                        + MERGE_NS * leaves.iter().map(ReduceNode::weight).max().unwrap_or(0),
-                );
-                stats.modeled += cost;
-                nodes = Some(leaves);
-                EventPoll::Sleep(cost)
+                let (t, leaf_cost) = Tree::new(&sessions);
+                tree = Some(t);
+                leaf_cost
             }
-            Some(level) if level.len() > 1 => {
-                // Event-task polls run inline on the scheduler; the host
-                // work stays serial here while the *virtual* charge models
-                // the level's combines running concurrently.
-                let (next, cost, merges) = run_level(level, config.arity, false);
-                stats.levels += 1;
-                stats.pair_merges += merges;
-                stats.modeled += cost;
-                nodes = Some(next);
-                EventPoll::Sleep(cost)
-            }
-            Some(mut level) => {
-                let root = level.pop().expect("root");
-                let report = finish_root(root, &sessions, world_size);
-                *out.lock() = Some((report, std::mem::take(&mut stats)));
+        };
+        match charge {
+            Some(cost) => EventPoll::Sleep(cost),
+            None => {
+                let t = tree.take().expect("leaves are built on the first poll");
+                *out.lock() = Some(t.finish(&sessions, world_size));
                 EventPoll::Done
             }
         }
     });
     TreeReduceHandle { slot, handle }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn session(rank: u32) -> RankSession {
+        let mut rec = PosixRecord::new(7);
+        *rec.get_mut(darshan_sim::PosixCounter::POSIX_READS) = 3;
+        let seg = |start: f64, end: f64| DxtSegment {
+            op: darshan_sim::DxtOp::Read,
+            offset: 0,
+            length: 4096,
+            start,
+            end,
+            rank,
+        };
+        RankSession {
+            rank,
+            diff: SnapshotDiff {
+                window: (0.0, 1.0),
+                posix: vec![rec],
+                stdio: Vec::new(),
+                names: Arc::new(HashMap::from([(7, "/data/a".to_string())])),
+                partial: false,
+            },
+            // Deliberately not in completion order.
+            dxt: vec![(7, seg(0.5, 0.9)), (7, seg(0.1, 0.2))],
+        }
+    }
+
+    fn dxt_ends(node: &ReduceNode) -> Vec<f64> {
+        node.dxt.iter().map(|(_, seg)| seg.end).collect()
+    }
+
+    #[test]
+    fn only_leaves_that_get_combined_sort_their_dxt() {
+        let (lone, _) = Tree::new(&[session(0)]);
+        assert_eq!(dxt_ends(&lone.nodes[0]), [0.9, 0.2]);
+        let (pair, _) = Tree::new(&[session(0), session(1)]);
+        assert_eq!(dxt_ends(&pair.nodes[0]), [0.2, 0.9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one rank")]
+    fn spawn_tree_reduce_rejects_no_sessions_at_the_call() {
+        let sim = Sim::new();
+        spawn_tree_reduce(&sim, Vec::new(), 4, TreeReduceConfig::default());
+    }
+
+    #[test]
+    fn lone_session_event_task_finishes_on_the_first_poll_for_free() {
+        let sim = Sim::new();
+        let single = session(0).report();
+        let handle = spawn_tree_reduce(&sim, vec![session(0)], 1, TreeReduceConfig::default());
+        sim.run();
+        assert_eq!(sim.now(), simrt::SimTime::ZERO);
+        let (report, stats) = handle.take().expect("finished");
+        assert_eq!((stats.leaves, stats.levels, stats.pair_merges), (1, 0, 0));
+        assert_eq!(stats.modeled, Duration::ZERO);
+        assert_eq!(stats.modeled_flat, Duration::ZERO);
+        assert_eq!(report.job.to_json(), single.to_json());
+    }
+
+    #[test]
+    fn event_task_and_host_entry_agree() {
+        let sessions = || (0..5).map(session).collect::<Vec<_>>();
+        let (host, host_stats) =
+            reduce_job_sessions_tree(&sessions(), 6, &TreeReduceConfig::default());
+        let sim = Sim::new();
+        let handle = spawn_tree_reduce(&sim, sessions(), 6, TreeReduceConfig::default());
+        sim.run();
+        let (event, event_stats) = handle.take().expect("finished");
+        assert_eq!(
+            serde_json::to_string(&host).unwrap(),
+            serde_json::to_string(&event).unwrap()
+        );
+        assert_eq!(host.missing_ranks, vec![5]);
+        assert_eq!(host_stats.modeled, event_stats.modeled);
+        assert_eq!(sim.now().as_nanos() as u128, event_stats.modeled.as_nanos());
+    }
 }

@@ -39,7 +39,7 @@ pub use counters::{
     StdioFCounter, StdioRecord, SIZE_BUCKET_LABELS,
 };
 pub use log::{DarshanLog, LogError};
-pub use reduce::{merge_posix_records, reduce_job};
+pub use reduce::reduce_job;
 pub use runtime::{DarshanConfig, DarshanRuntime, DxtOp, DxtSegment, Snapshot, Totals};
 pub use sink::DarshanSink;
 pub use summary::JobSummary;

@@ -3,7 +3,7 @@
 //!
 //! Each job runs on its own host thread with its own simulated Greendog
 //! machine and its own [`JobCtx`]; over `epochs` profiling windows it
-//! reads a private dataset, extracts the window's [`RankSession`], and
+//! reads a private dataset, extracts the window's [`RankSession`](tfdarshan::RankSession), and
 //! publishes it to a shared [`ServeDaemon`] — even-numbered jobs
 //! in-process through [`LocalPublisher`], odd-numbered jobs as NDJSON
 //! over the daemon's TCP ingest socket through [`TcpPublisher`], so one

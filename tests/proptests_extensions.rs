@@ -6,10 +6,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use tf_darshan::darshan::{
-    merge_posix_records, reduce_job, DxtOp, DxtSegment, PosixCounter as P, PosixRecord,
-};
-use tf_darshan::tfdarshan::{reduce_job_sessions, RankSession, SnapshotDiff};
+use tf_darshan::darshan::{reduce_job, DxtOp, DxtSegment, PosixCounter as P, PosixRecord};
+use tf_darshan::tfdarshan::{RankSession, SnapshotDiff};
 
 fn arb_record(id: u64) -> impl Strategy<Value = PosixRecord> {
     (0i64..1000, 0i64..1_000_000, 0i64..1_000_000, 0i64..100).prop_map(
@@ -35,15 +33,18 @@ proptest! {
         recs in prop::collection::vec(arb_record(42), 2..8),
         split in 1usize..7,
     ) {
+        // One rank listing the same file repeatedly: `reduce_job` left-folds
+        // the records into one.
+        let merge = |recs: &[PosixRecord]| reduce_job(&[recs.to_vec()]).remove(0);
         let split = split.min(recs.len() - 1);
-        let all_at_once = merge_posix_records(&recs).unwrap();
+        let all_at_once = merge(&recs);
         // Merge in two groups, then merge the merged pair.
-        let left = merge_posix_records(&recs[..split]).unwrap();
-        let right = merge_posix_records(&recs[split..]).unwrap();
-        let grouped = merge_posix_records(&[left, right]).unwrap();
+        let left = merge(&recs[..split]);
+        let right = merge(&recs[split..]);
+        let grouped = merge(&[left, right]);
         let mut rev = recs.clone();
         rev.reverse();
-        let reversed = merge_posix_records(&rev).unwrap();
+        let reversed = merge(&rev);
         for c in [
             P::POSIX_OPENS,
             P::POSIX_READS,
@@ -387,7 +388,9 @@ proptest! {
             .collect();
         let session = session_of(0, recs, dxt);
         let single = session.report();
-        let job = reduce_job_sessions(&[session]);
+        let (job, stats) = reduce_job_sessions_tree(&[session], 1, &TreeReduceConfig::default());
+        prop_assert_eq!((stats.leaves, stats.levels, stats.pair_merges), (1, 0, 0));
+        prop_assert_eq!(stats.modeled, Duration::ZERO);
         prop_assert_eq!(job.world_size, 1);
         prop_assert_eq!(&job.job.to_json(), &single.to_json());
         prop_assert_eq!(&job.per_rank[0].to_json(), &single.to_json());
@@ -419,7 +422,11 @@ proptest! {
                 session_of(r as u32, recs, Vec::new())
             })
             .collect();
-        let job = reduce_job_sessions(&sessions);
+        let (job, _) = reduce_job_sessions_tree(
+            &sessions,
+            sessions.len() as u32,
+            &TreeReduceConfig::default(),
+        );
         prop_assert_eq!(job.world_size as usize, sessions.len());
 
         let row = job
@@ -462,10 +469,12 @@ proptest! {
 // Tree reduction (PR 10): log-depth reduce ≡ flat reduce, byte for byte
 // ---------------------------------------------------------------------------
 
-use tf_darshan::darshan::reduce::PosixFold;
-use tf_darshan::darshan::PosixFCounter as FP;
+use tf_darshan::darshan::reduce::{Fold, Reducible};
+use tf_darshan::darshan::{
+    PosixFCounter as FP, StdioCounter as S, StdioFCounter as SF, StdioRecord,
+};
 use tf_darshan::tfdarshan::{
-    reduce_job_sessions_sized, reduce_job_sessions_tree, TreeReduceConfig,
+    analyze, per_file, reduce_job_sessions_tree, JobReport, TfDarshanReport, TreeReduceConfig,
 };
 
 /// A record exercising every field class the reduction touches: additive
@@ -517,16 +526,259 @@ fn arb_fleet_record(id: u64) -> impl Strategy<Value = PosixRecord> {
 }
 
 /// Fold `recs` up a balanced binary tree with the pairwise operators.
-fn tree_fold(recs: &[PosixRecord]) -> PosixRecord {
-    fn build(recs: &[PosixRecord]) -> PosixFold {
+fn tree_fold<R: Reducible>(recs: &[R]) -> R {
+    fn build<R: Reducible>(recs: &[R]) -> Fold<R> {
         if recs.len() == 1 {
-            PosixFold::leaf(recs[0].clone())
+            Fold::leaf(recs[0].clone())
         } else {
             let mid = recs.len() / 2;
-            build(&recs[..mid]).absorb(build(&recs[mid..]))
+            let mut left = build(&recs[..mid]);
+            left.absorb(build(&recs[mid..]));
+            left
         }
     }
     build(recs).finish()
+}
+
+/// A STDIO record with every counter set and, per timestamp pair, a
+/// chance of a zero first timestamp (the min-nonzero rule).
+fn arb_stdio_record(id: u64) -> impl Strategy<Value = StdioRecord> {
+    (
+        prop::collection::vec(0i64..1_000_000, S::COUNT),
+        (0.0f64..100.0, 0.0f64..100.0, any::<bool>()),
+        (0.0f64..2.0, 0.0f64..2.0, 0.0f64..2.0),
+    )
+        .prop_map(move |(counters, (open, close, zero_open), times)| {
+            let mut r = StdioRecord::new(id);
+            r.counters.copy_from_slice(&counters);
+            let open = if zero_open { 0.0 } else { open };
+            *r.fget_mut(SF::STDIO_F_OPEN_START_TIMESTAMP) = open;
+            *r.fget_mut(SF::STDIO_F_OPEN_END_TIMESTAMP) = open + 0.001;
+            *r.fget_mut(SF::STDIO_F_CLOSE_START_TIMESTAMP) = close;
+            *r.fget_mut(SF::STDIO_F_CLOSE_END_TIMESTAMP) = close + 0.002;
+            *r.fget_mut(SF::STDIO_F_READ_TIME) = times.0;
+            *r.fget_mut(SF::STDIO_F_WRITE_TIME) = times.1;
+            *r.fget_mut(SF::STDIO_F_META_TIME) = times.2;
+            r
+        })
+}
+
+// ---------------------------------------------------------------------------
+// Flat reference reductions: test-only oracles for the pairwise folds.
+// Each is the straightforward flat left fold the library once shipped;
+// the production `Fold`/`FoldMap`/tree reductions must match them bit for
+// bit.
+// ---------------------------------------------------------------------------
+
+/// Merge one file's POSIX records, in rank order, with a flat left fold.
+fn flat_merge_posix(records: &[PosixRecord]) -> PosixRecord {
+    let mut out = PosixRecord::new(records[0].rec_id);
+    let slots = [
+        (P::POSIX_ACCESS1_ACCESS, P::POSIX_ACCESS1_COUNT),
+        (P::POSIX_ACCESS2_ACCESS, P::POSIX_ACCESS2_COUNT),
+        (P::POSIX_ACCESS3_ACCESS, P::POSIX_ACCESS3_COUNT),
+        (P::POSIX_ACCESS4_ACCESS, P::POSIX_ACCESS4_COUNT),
+    ];
+    for r in records {
+        for c in P::ALL {
+            let i = c as usize;
+            if matches!(c, P::POSIX_MAX_BYTE_READ | P::POSIX_MAX_BYTE_WRITTEN) {
+                out.counters[i] = out.counters[i].max(r.counters[i]);
+            } else if !slots.iter().any(|&(a, n)| c == a || c == n) {
+                out.counters[i] += r.counters[i];
+            }
+        }
+        // Re-accumulate common access sizes one access at a time.
+        for (a, cnt) in slots {
+            for _ in 0..r.get(cnt).max(0) {
+                out.access_sizes.add(r.get(a) as u64);
+            }
+        }
+        for (start, end) in [
+            (
+                FP::POSIX_F_OPEN_START_TIMESTAMP,
+                FP::POSIX_F_OPEN_END_TIMESTAMP,
+            ),
+            (
+                FP::POSIX_F_READ_START_TIMESTAMP,
+                FP::POSIX_F_READ_END_TIMESTAMP,
+            ),
+            (
+                FP::POSIX_F_WRITE_START_TIMESTAMP,
+                FP::POSIX_F_WRITE_END_TIMESTAMP,
+            ),
+            (
+                FP::POSIX_F_CLOSE_START_TIMESTAMP,
+                FP::POSIX_F_CLOSE_END_TIMESTAMP,
+            ),
+        ] {
+            let s = r.fget(start);
+            if s > 0.0 {
+                let cur = out.fget(start);
+                *out.fget_mut(start) = if cur == 0.0 { s } else { cur.min(s) };
+            }
+            *out.fget_mut(end) = out.fget(end).max(r.fget(end));
+        }
+        for t in [
+            FP::POSIX_F_READ_TIME,
+            FP::POSIX_F_WRITE_TIME,
+            FP::POSIX_F_META_TIME,
+        ] {
+            *out.fget_mut(t) += r.fget(t);
+        }
+        for t in [FP::POSIX_F_MAX_READ_TIME, FP::POSIX_F_MAX_WRITE_TIME] {
+            *out.fget_mut(t) = out.fget(t).max(r.fget(t));
+        }
+    }
+    out.reduce_common_accesses();
+    out
+}
+
+/// Merge one file's STDIO records, in rank order, with a flat left fold.
+fn flat_merge_stdio(records: &[StdioRecord]) -> StdioRecord {
+    let mut out = StdioRecord::new(records[0].rec_id);
+    for r in records {
+        for c in S::ALL {
+            let i = c as usize;
+            if matches!(c, S::STDIO_MAX_BYTE_READ | S::STDIO_MAX_BYTE_WRITTEN) {
+                out.counters[i] = out.counters[i].max(r.counters[i]);
+            } else {
+                out.counters[i] += r.counters[i];
+            }
+        }
+        for (start, end) in [
+            (
+                SF::STDIO_F_OPEN_START_TIMESTAMP,
+                SF::STDIO_F_OPEN_END_TIMESTAMP,
+            ),
+            (
+                SF::STDIO_F_CLOSE_START_TIMESTAMP,
+                SF::STDIO_F_CLOSE_END_TIMESTAMP,
+            ),
+        ] {
+            let s = r.fget(start);
+            if s > 0.0 {
+                let cur = out.fget(start);
+                *out.fget_mut(start) = if cur == 0.0 { s } else { cur.min(s) };
+            }
+            *out.fget_mut(end) = out.fget(end).max(r.fget(end));
+        }
+        for t in [
+            SF::STDIO_F_READ_TIME,
+            SF::STDIO_F_WRITE_TIME,
+            SF::STDIO_F_META_TIME,
+        ] {
+            *out.fget_mut(t) += r.fget(t);
+        }
+    }
+    out
+}
+
+/// Group records by id in rank order: rank-private records pass through,
+/// shared ones go through `merge`. Output in rec-id order.
+fn flat_group<R: Clone>(
+    records: impl IntoIterator<Item = R>,
+    id: impl Fn(&R) -> u64,
+    merge: impl Fn(&[R]) -> R,
+) -> Vec<R> {
+    let mut groups: std::collections::BTreeMap<u64, Vec<R>> = Default::default();
+    for r in records {
+        groups.entry(id(&r)).or_default().push(r);
+    }
+    groups
+        .into_values()
+        .map(|g| {
+            if g.len() == 1 {
+                g[0].clone()
+            } else {
+                merge(&g)
+            }
+        })
+        .collect()
+}
+
+/// Reduce per-rank sessions to the job view in one flat pass.
+fn flat_reduce_sessions(sessions: &[RankSession], world_size: u32) -> JobReport {
+    let posix = flat_group(
+        sessions.iter().flat_map(|s| s.diff.posix.iter().cloned()),
+        |r| r.rec_id,
+        flat_merge_posix,
+    );
+    let stdio = flat_group(
+        sessions.iter().flat_map(|s| s.diff.stdio.iter().cloned()),
+        |r| r.rec_id,
+        flat_merge_stdio,
+    );
+    let mut names = std::collections::HashMap::new();
+    for s in sessions {
+        for (id, name) in s.diff.names.iter() {
+            names.entry(*id).or_insert_with(|| name.clone());
+        }
+    }
+    let job_diff = SnapshotDiff {
+        window: (
+            sessions
+                .iter()
+                .map(|s| s.diff.window.0)
+                .fold(f64::INFINITY, f64::min),
+            sessions
+                .iter()
+                .map(|s| s.diff.window.1)
+                .fold(f64::NEG_INFINITY, f64::max),
+        ),
+        posix,
+        stdio,
+        names: Arc::new(names),
+        partial: sessions.iter().any(|s| s.diff.partial),
+    };
+    // One timeline; several ranks interleave by completion time, a lone
+    // rank keeps its own order.
+    let mut dxt: Vec<(u64, DxtSegment)> = sessions
+        .iter()
+        .flat_map(|s| s.dxt.iter().copied())
+        .collect();
+    if sessions.len() > 1 {
+        dxt.sort_by(|a, b| {
+            a.1.end
+                .total_cmp(&b.1.end)
+                .then(a.1.start.total_cmp(&b.1.start))
+                .then(a.1.rank.cmp(&b.1.rank))
+        });
+    }
+    let (io, stdio) = analyze(&job_diff, &dxt);
+    JobReport {
+        world_size,
+        missing_ranks: (0..world_size)
+            .filter(|r| sessions.iter().all(|s| s.rank != *r))
+            .collect(),
+        job: TfDarshanReport {
+            window: job_diff.window,
+            io,
+            stdio,
+            files: per_file(&job_diff),
+            sanitizer: None,
+            scheduler: None,
+            explore: None,
+        },
+        per_rank: sessions.iter().map(|s| s.report()).collect(),
+    }
+}
+
+fn assert_posix_bitwise(a: &PosixRecord, b: &PosixRecord) {
+    prop_assert_eq!(a.rec_id, b.rec_id);
+    for c in P::ALL {
+        prop_assert_eq!(a.get(c), b.get(c), "{} diverged", c.name());
+    }
+    for c in FP::ALL {
+        prop_assert_eq!(
+            a.fget(c).to_bits(),
+            b.fget(c).to_bits(),
+            "{} diverged: {} vs {}",
+            c.name(),
+            a.fget(c),
+            b.fget(c)
+        );
+    }
 }
 
 proptest! {
@@ -540,12 +792,20 @@ proptest! {
     fn pairwise_fold_equals_flat_merge_bitwise(
         recs in prop::collection::vec(arb_fleet_record(42), 1..9),
     ) {
-        let flat = merge_posix_records(&recs).unwrap();
+        assert_posix_bitwise(&flat_merge_posix(&recs), &tree_fold(&recs));
+    }
+
+    /// The STDIO fold reproduces the flat STDIO merge byte for byte.
+    #[test]
+    fn stdio_pairwise_fold_equals_flat_merge_bitwise(
+        recs in prop::collection::vec(arb_stdio_record(42), 1..9),
+    ) {
+        let flat = flat_merge_stdio(&recs);
         let tree = tree_fold(&recs);
-        for c in P::ALL {
+        for c in S::ALL {
             prop_assert_eq!(flat.get(c), tree.get(c), "{} diverged", c.name());
         }
-        for c in FP::ALL {
+        for c in SF::ALL {
             prop_assert_eq!(
                 flat.fget(c).to_bits(),
                 tree.fget(c).to_bits(),
@@ -554,6 +814,28 @@ proptest! {
                 flat.fget(c),
                 tree.fget(c)
             );
+        }
+    }
+
+    /// `reduce_job`'s rank-ordered left fold equals the flat grouping
+    /// byte for byte: shared files merge, rank-private singletons pass
+    /// through, output in rec-id order.
+    #[test]
+    fn reduce_job_equals_flat_oracle(
+        entries in prop::collection::vec((0usize..5, 0u64..10, arb_fleet_record(0)), 1..30),
+    ) {
+        let mut per_rank: Vec<Vec<PosixRecord>> = vec![Vec::new(); 5];
+        for (rank, id, mut r) in entries {
+            if per_rank[rank].iter().all(|x| x.rec_id != id) {
+                r.rec_id = id;
+                per_rank[rank].push(r);
+            }
+        }
+        let flat = flat_group(per_rank.iter().flatten().cloned(), |r| r.rec_id, flat_merge_posix);
+        let job = reduce_job(&per_rank);
+        prop_assert_eq!(job.len(), flat.len());
+        for (a, b) in flat.iter().zip(&job) {
+            assert_posix_bitwise(a, b);
         }
     }
 }
@@ -596,11 +878,11 @@ proptest! {
             })
             .collect();
 
-        let flat = reduce_job_sessions_sized(&sessions, ws as u32);
+        let flat = flat_reduce_sessions(&sessions, ws as u32);
         let (tree, stats) = reduce_job_sessions_tree(
             &sessions,
             ws as u32,
-            &TreeReduceConfig { arity, host_parallel: true },
+            &TreeReduceConfig { arity },
         );
         prop_assert_eq!(
             serde_json::to_string(&flat).unwrap(),
@@ -636,7 +918,7 @@ proptest! {
             .filter(|r| drop_mask[*r as usize])
             .collect();
 
-        let flat = reduce_job_sessions_sized(&sessions, ws as u32);
+        let flat = flat_reduce_sessions(&sessions, ws as u32);
         let (tree, _) = reduce_job_sessions_tree(
             &sessions,
             ws as u32,
