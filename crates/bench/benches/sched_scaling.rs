@@ -15,19 +15,11 @@
 
 use std::time::Instant;
 
+use workloads::fleet_scale::proc_status;
 use workloads::sched_scale::{os_threads, run_sched_scale, CARRIER_POOL};
 
 const FLEETS: [usize; 5] = [100, 300, 1_000, 3_000, 10_000];
 const ROUNDS: usize = 3;
-
-/// `VmRSS:` of this process in KiB, from `/proc/self/status`.
-fn vm_rss_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmRSS:"))
-        .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse().ok())
-}
 
 struct Point {
     sim_threads: usize,
@@ -49,7 +41,7 @@ fn measure(sim_threads: usize) -> Point {
         sim_threads,
         wall_ms: wall.as_secs_f64() * 1e3,
         per_task_us: wall.as_secs_f64() * 1e6 / sim_threads as f64,
-        rss_kib: vm_rss_kib(),
+        rss_kib: proc_status("VmRSS"),
         peak_os_threads: out.peak_os_threads,
         switches: out.stats.switches,
         event_polls: out.stats.event_polls,

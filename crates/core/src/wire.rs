@@ -73,6 +73,7 @@ impl SessionDiffMsg {
 mod tests {
     use super::*;
     use crate::analysis::{IoStats, StdioStats};
+    use proptest::prelude::*;
 
     fn msg() -> SessionDiffMsg {
         let mut io = IoStats {
@@ -122,5 +123,50 @@ mod tests {
         let line = msg().to_line();
         assert!(SessionDiffMsg::from_line(&line[..line.len() / 2]).is_err());
         assert!(SessionDiffMsg::from_line("{}").is_err(), "missing fields");
+    }
+
+    #[test]
+    fn a_megabyte_of_open_brackets_errors_instead_of_overflowing_the_stack() {
+        let flood = "[".repeat(1 << 20);
+        // A freshly spawned thread has the default 2 MiB stack, as the
+        // serve daemon's ingest threads do.
+        std::thread::spawn(move || {
+            assert!(serde_json::from_str::<serde_json::Value>(&flood).is_err());
+            assert!(SessionDiffMsg::from_line(&flood).is_err());
+        })
+        .join()
+        .expect("parsing returns instead of aborting");
+    }
+
+    /// JSON fragments that nest, close, and fill in random orders.
+    const FRAGMENTS: [&str; 10] = [
+        "[",
+        "]",
+        "{",
+        "}",
+        "{\"report\":",
+        ",",
+        ":",
+        "1",
+        "\"s\"",
+        "null",
+    ];
+
+    proptest! {
+        #[test]
+        fn from_line_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            let _ = SessionDiffMsg::from_line(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn from_line_never_panics_on_random_nestings(
+            picks in prop::collection::vec(0..FRAGMENTS.len(), 0..1024),
+            prefix in 0..2usize,
+        ) {
+            // Half the cases start inside a valid message's leading field.
+            let mut line = ["", "{\"v\":1,\"job\":"][prefix].to_string();
+            line.extend(picks.iter().map(|&i| FRAGMENTS[i]));
+            let _ = SessionDiffMsg::from_line(&line);
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! always reflects every message the daemon has *accepted* — drops only
 //! ever happen at enqueue time, when a tenant outruns its queue bound.
 
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,7 +30,12 @@ use tfdarshan::wire::SessionDiffMsg;
 use tfdarshan::TfDarshanReport;
 
 use crate::aggregator::{Aggregator, AggregatorConfig, Enqueue, FleetStats, Footprint};
-use crate::http::{http_get, percent_decode, read_request, respond, Request};
+use crate::http::{http_get, percent_decode, read_line_bounded, read_request, respond, Request};
+
+/// Longest NDJSON line the ingest socket accepts. A session diff carries
+/// its window's file table, so real lines run to tens of KiB; a longer
+/// line counts as a parse error and closes the connection.
+pub const MAX_INGEST_LINE: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -104,7 +109,8 @@ impl ServeService {
         self.agg.lock().pump()
     }
 
-    /// NDJSON lines that failed to parse on the ingest socket.
+    /// NDJSON lines that failed to parse (or ran past [`MAX_INGEST_LINE`])
+    /// on the ingest socket.
     pub fn parse_errors(&self) -> u64 {
         self.parse_errors.load(Ordering::Relaxed)
     }
@@ -316,9 +322,13 @@ fn handle_ingest(stream: TcpStream, service: &ServeService) {
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
+        match read_line_bounded(&mut reader, &mut line, &mut { MAX_INGEST_LINE }) {
+            Ok(Some(0)) | Err(_) => return,
+            Ok(Some(_)) => {}
+            Ok(None) => {
+                service.note_parse_error();
+                return;
+            }
         }
         let trimmed = line.trim();
         if trimmed.is_empty() {

@@ -4,7 +4,7 @@
 //! fully vendored/offline). One request per connection, `Connection:
 //! close`, bounded header reads.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Maximum accepted request head (request line + headers) in bytes.
@@ -20,14 +20,28 @@ pub struct Request {
     pub path: String,
 }
 
+/// Read one `\n`-terminated line into `buf` (appending), spending at
+/// most `budget` bytes and deducting what it read. Returns the bytes read
+/// (0 at EOF), or `None` when the budget ran out before a newline — a peer
+/// that never ends its line cannot grow `buf` past the bound.
+pub(crate) fn read_line_bounded<R: BufRead>(
+    reader: &mut R,
+    buf: &mut String,
+    budget: &mut usize,
+) -> io::Result<Option<usize>> {
+    let n = reader.take(*budget as u64).read_line(buf)?;
+    let overrun = n == *budget && !buf.ends_with('\n');
+    *budget -= n;
+    Ok((!overrun).then_some(n))
+}
+
 /// Read and parse one request head off a stream. Returns `None` on
-/// malformed input, over-long heads, or early EOF.
+/// malformed input, heads over `MAX_HEAD` bytes, or early EOF.
 pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
     let mut reader = BufReader::new(stream);
+    let mut budget = MAX_HEAD;
     let mut line = String::new();
-    let mut head = 0usize;
-    reader.read_line(&mut line).ok()?;
-    head += line.len();
+    read_line_bounded(&mut reader, &mut line, &mut budget).ok()??;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_string();
     let path = parts.next()?.to_string();
@@ -37,13 +51,9 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
     // Drain headers until the blank line so the peer sees a clean close.
     loop {
         let mut h = String::new();
-        let n = reader.read_line(&mut h).ok()?;
-        head += n;
+        let n = read_line_bounded(&mut reader, &mut h, &mut budget).ok()??;
         if n == 0 || h == "\r\n" || h == "\n" {
             break;
-        }
-        if head > MAX_HEAD {
-            return None;
         }
     }
     Some(Request { method, path })
@@ -138,5 +148,43 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body, "hello 1\n");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_head_without_newlines_is_cut_off_at_the_bound() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut s, _) = listener.accept().unwrap();
+        // The client keeps its connection open: without the bound the
+        // server would wait for a newline forever.
+        client.write_all(&vec![b'a'; MAX_HEAD + 1]).unwrap();
+        assert_eq!(read_request(&mut s), None);
+
+        // A head that ends its lines, within the bound, still parses.
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut s, _) = listener.accept().unwrap();
+        let pad = "x".repeat(MAX_HEAD / 2);
+        write!(client, "GET / HTTP/1.0\r\nX-Pad: {pad}\r\n\r\n").unwrap();
+        let req = read_request(&mut s).expect("parses");
+        assert_eq!(req.path, "/");
+    }
+
+    #[test]
+    fn bounded_lines_stop_at_the_bound_or_the_newline() {
+        let mut r = io::Cursor::new("ab\ncdefg");
+        let mut buf = String::new();
+        let mut read = |max: usize| {
+            buf.clear();
+            let n = read_line_bounded(&mut r, &mut buf, &mut { max }).unwrap();
+            (n, buf.clone())
+        };
+        assert_eq!(read(3), (Some(3), "ab\n".into()));
+        assert_eq!(read(3), (None, "cde".into()));
+        assert_eq!(
+            read(3),
+            (Some(2), "fg".into()),
+            "a short final line is a line"
+        );
+        assert_eq!(read(3), (Some(0), String::new()));
     }
 }

@@ -26,10 +26,12 @@
 //!
 //! The load-bearing invariant is **exactness**: session diffs are
 //! additive window deltas, so the daemon's per-job counters equal the
-//! job's own final reduced report, u64-exactly — the `serve_gate`
-//! workload asserts this across ≥4 concurrent jobs publishing over both
-//! transports while a flood test shows backpressure never perturbs other
-//! tenants.
+//! job's own final reduced report, u64-exactly — the serve gate
+//! (`workloads::serve_gate`, run in CI as `gate -- serve`) asserts this
+//! across ≥4 concurrent jobs publishing over both transports while a
+//! flood test shows backpressure never perturbs other tenants. Bytes off
+//! either socket are untrusted: lines are read under a length bound
+//! (`MAX_HEAD` for HTTP heads, [`daemon::MAX_INGEST_LINE`] for ingest).
 
 pub mod aggregator;
 pub mod daemon;

@@ -123,6 +123,36 @@ fn both_transports_feed_one_daemon_and_all_endpoints_serve() {
 }
 
 #[test]
+fn deep_and_endless_ingest_lines_are_counted_and_cut_off() {
+    use std::io::{ErrorKind, Read as _, Write as _};
+    let daemon = ServeDaemon::start(ServeConfig::default()).unwrap();
+    let mut s = std::net::TcpStream::connect(daemon.ingest_addr()).unwrap();
+    s.write_all((msg("ok", 0, 0, 42, 1.0).to_line() + "\n").as_bytes())
+        .unwrap();
+    // Nesting deep enough to overflow an unbounded recursive parser.
+    s.write_all(("[".repeat(1 << 16) + "\n").as_bytes())
+        .unwrap();
+    // A line that never ends, on a connection that stays open. The daemon
+    // closes it once the line passes the bound, so the tail may not land.
+    let _ = s.write_all(&vec![b'['; serve::daemon::MAX_INGEST_LINE + 1]);
+    let body = await_metrics(&daemon, |b| {
+        metric_value(b, "tfdarshan_ingest_parse_errors_total ").as_deref() == Some("2")
+    });
+    assert_eq!(
+        metric_value(&body, "tfdarshan_diffs_ingested_total ").as_deref(),
+        Some("1")
+    );
+    // The daemon hung up: the read sees EOF or a reset, not a timeout.
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let closed = match s.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+    };
+    assert!(closed, "the over-long line closed the connection");
+    daemon.shutdown();
+}
+
+#[test]
 fn malformed_ingest_lines_are_counted_not_fatal() {
     let daemon = ServeDaemon::start(ServeConfig::default()).unwrap();
     {

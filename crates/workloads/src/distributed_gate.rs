@@ -13,8 +13,8 @@
 //!    then joins an allreduce (the gradient exchange).
 //!
 //! A healthy tree produces **zero findings** and a [`JobReport`] whose
-//! shared checkpoint record merged across all ranks. CI runs the
-//! `distributed_gate` example and fails on any finding.
+//! shared checkpoint record merged across all ranks into exactly one.
+//! CI runs it as `gate -- distributed`; [`verdict`] holds every check.
 
 use std::sync::Arc;
 
@@ -24,6 +24,7 @@ use posix_sim::OpenFlags;
 use storage_sim::WritePayload;
 use tfdarshan::{JobCtx, JobReport, TfDarshanConfig};
 
+use crate::gate::{Gate, Verdict};
 use crate::platform::kebnekaise;
 
 /// Shared checkpoint path on the Lustre scratch.
@@ -133,29 +134,43 @@ pub fn run_distributed_gate(world_size: usize) -> DistributedGateOutcome {
     }
 }
 
+/// Judge the gate: a clean sanitizer, every rank reported and read its
+/// whole share, and the shared checkpoint merged into exactly one job
+/// record while every rank's own view keeps its slice.
+pub fn verdict(out: &DistributedGateOutcome) -> Verdict {
+    let (report, ws) = (&out.report, out.world_size);
+    let read = report.job.io.bytes_read;
+    let mut v = Verdict::new(Gate::Distributed);
+    v.summary.push(format!("{ws} ranks read {read} bytes"));
+    v.check(out.sanitizer.is_clean(), out.sanitizer.render_ascii());
+    let ranks = (report.world_size as usize, report.per_rank.len());
+    v.check(ranks == (ws, ws), format!("{ranks:?} ranks reported"));
+    // Every rank read the whole checkpoint plus its shard.
+    let want = ws as u64 * (CHUNK * ws as u64 + SHARD_FILES as u64 * SHARD_FILE_BYTES);
+    v.check(read >= want, format!("read {read} of {want} bytes"));
+    let ckpts = report.job.files.iter().filter(|f| f.path == CKPT).count();
+    v.check(ckpts == 1, format!("the checkpoint is {ckpts} job records"));
+    let per_rank = report.per_rank.iter();
+    let sliced = per_rank.filter(|r| r.files.iter().any(|f| f.path == CKPT));
+    let sliced = sliced.count();
+    v.check(sliced == ws, format!("{sliced} ranks kept a slice"));
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn gate_is_clean_and_merges_the_shared_checkpoint() {
-        let out = run_distributed_gate(4);
-        assert!(
-            out.sanitizer.is_clean(),
-            "findings: {}",
-            out.sanitizer.render_ascii()
-        );
-        assert_eq!(out.report.world_size, 4);
-        assert_eq!(out.report.per_rank.len(), 4);
-        // Every rank read the whole checkpoint plus its shard.
-        let job = &out.report.job;
-        assert!(job.io.bytes_read >= 4 * (CHUNK * 4 + SHARD_FILES as u64 * SHARD_FILE_BYTES));
-        // The checkpoint is one merged record in the job view, not four.
-        let ckpts = job.files.iter().filter(|f| f.path == CKPT).count();
-        assert_eq!(ckpts, 1, "shared record merged once");
-        // Per-rank views keep their own slice of the shared file.
-        for r in &out.report.per_rank {
-            assert!(r.files.iter().any(|f| f.path == CKPT));
-        }
+        let mut out = run_distributed_gate(4);
+        let v = verdict(&out);
+        assert!(v.passed(), "{}", v.render());
+
+        // The same run with the checkpoint split into two job records fails.
+        let files = &mut out.report.job.files;
+        files.extend(files.iter().find(|f| f.path == CKPT).cloned());
+        let v = verdict(&out);
+        assert_eq!(v.failures, ["the checkpoint is 2 job records"]);
     }
 }

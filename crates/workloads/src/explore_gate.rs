@@ -27,16 +27,7 @@ use storage_sim::{
     Device, DeviceSpec, FileSystem, LocalFs, LocalFsParams, PageCache, StorageStack, WritePayload,
 };
 
-fn process() -> Arc<Process> {
-    let fs = LocalFs::new(
-        Device::new(DeviceSpec::sata_ssd("ssd0")),
-        Arc::new(PageCache::new(1 << 30)),
-        LocalFsParams::default(),
-    );
-    let stack = StorageStack::new();
-    stack.mount("/data", fs as Arc<dyn FileSystem>);
-    Process::new(stack)
-}
+use crate::gate::{Gate, Verdict};
 
 fn rdwr_create() -> OpenFlags {
     OpenFlags {
@@ -52,7 +43,24 @@ fn rdwr_create() -> OpenFlags {
 /// non-FIFO schedule lets the racer observe `false` and issue the unlocked
 /// overlapping write that races with the publisher's locked one.
 pub fn racy_workload(sim: &Sim) -> ProbeBus {
-    let p = process();
+    flag_workload(sim, false)
+}
+
+/// The cured variant: the racer holds the lock across its write, so every
+/// schedule is clean.
+pub fn clean_workload(sim: &Sim) -> ProbeBus {
+    flag_workload(sim, true)
+}
+
+fn flag_workload(sim: &Sim, cured: bool) -> ProbeBus {
+    let fs = LocalFs::new(
+        Device::new(DeviceSpec::sata_ssd("ssd0")),
+        Arc::new(PageCache::new(1 << 30)),
+        LocalFsParams::default(),
+    );
+    let stack = StorageStack::new();
+    stack.mount("/data", fs as Arc<dyn FileSystem>);
+    let p = Process::new(stack);
     let bus = p.probe().clone();
     let ready = Arc::new(simrt::sync::Mutex::named(false, Some("published")));
     {
@@ -71,8 +79,10 @@ pub fn racy_workload(sim: &Sim) -> ProbeBus {
     sim.spawn("racer", move || {
         simrt::sleep(std::time::Duration::from_millis(1));
         let fd = p.open("/data/shared.bin", rdwr_create()).unwrap();
-        let published = *ready.lock();
-        if published {
+        if cured {
+            let _g = ready.lock();
+            p.pwrite(fd, 0, WritePayload::Synthetic(4096)).unwrap();
+        } else if *ready.lock() {
             // Happens-after the publisher's release: a clean read.
             p.pread(fd, 0, 4096, None).unwrap();
         } else {
@@ -84,52 +94,22 @@ pub fn racy_workload(sim: &Sim) -> ProbeBus {
     bus
 }
 
-/// The cured variant: both branches of the racer hold the lock across
-/// their access, so every schedule is clean.
-pub fn clean_workload(sim: &Sim) -> ProbeBus {
-    let p = process();
-    let bus = p.probe().clone();
-    let ready = Arc::new(simrt::sync::Mutex::named(false, Some("published")));
-    {
-        let (p, ready) = (p.clone(), ready.clone());
-        sim.spawn("publisher", move || {
-            simrt::sleep(std::time::Duration::from_millis(1));
-            let fd = p.open("/data/shared.bin", rdwr_create()).unwrap();
-            {
-                let mut g = ready.lock();
-                p.pwrite(fd, 0, WritePayload::Synthetic(4096)).unwrap();
-                *g = true;
-            }
-            p.close(fd).unwrap();
-        });
-    }
-    sim.spawn("racer", move || {
-        simrt::sleep(std::time::Duration::from_millis(1));
-        let fd = p.open("/data/shared.bin", rdwr_create()).unwrap();
-        {
-            let _g = ready.lock();
-            p.pwrite(fd, 0, WritePayload::Synthetic(4096)).unwrap();
-        }
-        p.close(fd).unwrap();
-    });
-    bus
-}
-
 /// Outcome of one gate entry.
 pub struct ExploreGateResult {
     /// Entry name.
     pub name: &'static str,
+    /// The entry carries the seeded race, which exploration must find;
+    /// otherwise no schedule may produce a finding.
+    pub seeded: bool,
     /// The exploration report.
     pub report: ExploreReport,
-    /// The single FIFO schedule was clean (precondition for the seeded
-    /// entry: the bug must be invisible to a plain sanitized run).
+    /// The single FIFO schedule was clean (the seeded bug must be
+    /// invisible to a plain sanitized run).
     pub fifo_clean: bool,
-    /// For the seeded entry: the shrunk token reproduced the expected
-    /// finding on two independent replays with byte-identical canonical
-    /// event streams. `true` (vacuously) for clean entries.
+    /// Every finding's shrunk token reproduced it on two independent
+    /// replays with byte-identical canonical event streams (vacuously
+    /// `true` without findings).
     pub replay_deterministic: bool,
-    /// Whether this entry met its expectation.
-    pub pass: bool,
 }
 
 /// CI exploration budget: small enough for the gate, large enough that the
@@ -141,83 +121,59 @@ pub fn gate_config() -> ExploreConfig {
     }
 }
 
-/// Run the seeded entry: FIFO must be clean, exploration must find the
-/// race, and the shrunk token must reproduce it deterministically.
-pub fn run_seeded_entry() -> ExploreGateResult {
-    let fifo = replay(racy_workload, &ReplayToken::fifo());
-    let fifo_clean = fifo.report.findings.is_empty();
-    let report = check(&gate_config(), racy_workload);
-    let race = report
-        .findings
-        .iter()
-        .find(|f| f.finding.category == Category::DataRace)
-        .cloned();
-    let replay_deterministic = race.as_ref().is_some_and(|race| {
-        let r1 = replay(racy_workload, &race.token);
-        let r2 = replay(racy_workload, &race.token);
-        r1.fingerprints.contains(&race.fingerprint)
-            && r2.fingerprints.contains(&race.fingerprint)
+/// Explore one entry: the seeded racer, or its cure.
+pub fn run_entry(seeded: bool) -> ExploreGateResult {
+    let (name, workload): (_, fn(&Sim) -> ProbeBus) = if seeded {
+        ("flag-guarded-racer", racy_workload)
+    } else {
+        ("locked-writers", clean_workload)
+    };
+    let fifo = replay(workload, &ReplayToken::fifo());
+    let report = check(&gate_config(), workload);
+    let replay_deterministic = report.findings.iter().all(|f| {
+        let (r1, r2) = (replay(workload, &f.token), replay(workload, &f.token));
+        r1.fingerprints.contains(&f.fingerprint)
+            && r2.fingerprints.contains(&f.fingerprint)
             && canonicalize(&r1.events) == canonicalize(&r2.events)
     });
-    let pass = fifo_clean && race.is_some() && replay_deterministic;
     ExploreGateResult {
-        name: "flag-guarded-racer",
+        name,
+        seeded,
         report,
-        fifo_clean,
+        fifo_clean: fifo.report.findings.is_empty(),
         replay_deterministic,
-        pass,
     }
 }
 
-/// Run the clean entry: no schedule may produce a finding.
-pub fn run_clean_entry() -> ExploreGateResult {
-    let report = check(&gate_config(), clean_workload);
-    let pass = report.is_clean();
-    ExploreGateResult {
-        name: "locked-writers",
-        report,
-        fifo_clean: true,
-        replay_deterministic: true,
-        pass,
-    }
-}
-
-/// Run the whole gate.
+/// Run the whole gate: the seeded entry, then the cured one.
 pub fn run_gate() -> Vec<ExploreGateResult> {
-    vec![run_seeded_entry(), run_clean_entry()]
+    vec![run_entry(true), run_entry(false)]
 }
 
-/// True when every entry met its expectation.
-pub fn gate_passes(results: &[ExploreGateResult]) -> bool {
-    results.iter().all(|r| r.pass)
-}
-
-/// Render the gate outcome as text (one panel per entry).
-pub fn render(results: &[ExploreGateResult]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+/// Judge the gate: every entry hid from FIFO, explored more than one
+/// schedule and replays its findings deterministically; the seeded race
+/// was found and the cured workload stayed clean on every schedule.
+pub fn verdict(results: &[ExploreGateResult]) -> Verdict {
+    let mut v = Verdict::new(Gate::Explore);
     for r in results {
-        let _ = writeln!(
-            out,
-            "== {}: {} ==",
-            r.name,
-            if r.pass { "pass" } else { "FAIL" }
-        );
-        let _ = writeln!(
-            out,
-            "fifo schedule clean: {} | replay deterministic: {}",
-            r.fifo_clean, r.replay_deterministic
-        );
-        out.push_str(&r.report.render_ascii());
-        out.push('\n');
+        let (name, report) = (r.name, &r.report);
+        let summary = serde_json::to_string(&report.summary()).expect("summary serializes");
+        v.summary.push(format!("{name}: {summary}"));
+        // Each finding line carries the token `gate -- explore replay` takes.
+        v.summary
+            .extend(report.render_ascii().lines().map(String::from));
+        v.check(r.fifo_clean, format!("{name}: FIFO shows a finding"));
+        v.check(report.schedules_run > 1, format!("{name}: never branched"));
+        v.check(r.replay_deterministic, format!("{name}: replay differs"));
+        if r.seeded {
+            let mut categories = report.findings.iter().map(|f| f.finding.category);
+            let race = categories.any(|c| c == Category::DataRace);
+            v.check(race, format!("{name}: the seeded race was missed"));
+        } else {
+            v.check(report.is_clean(), format!("{name}: findings when cured"));
+        }
     }
-    let _ = writeln!(
-        out,
-        "gate: {} entr(ies) -> {}",
-        results.len(),
-        if gate_passes(results) { "PASS" } else { "FAIL" }
-    );
-    out
+    v
 }
 
 #[cfg(test)]
@@ -226,16 +182,13 @@ mod tests {
 
     #[test]
     fn seeded_entry_finds_and_replays_the_race() {
-        let r = run_seeded_entry();
-        assert!(r.fifo_clean, "the seeded bug must hide from FIFO");
-        assert!(r.replay_deterministic);
-        assert!(r.pass, "{}", render(&[r]));
+        let v = verdict(&[run_entry(true)]);
+        assert!(v.passed(), "{}", v.render());
     }
 
     #[test]
     fn clean_entry_is_clean_on_every_schedule() {
-        let r = run_clean_entry();
-        assert!(r.report.schedules_run > 1, "exploration actually branched");
-        assert!(r.pass, "{}", render(&[r]));
+        let v = verdict(&[run_entry(false)]);
+        assert!(v.passed(), "{}", v.render());
     }
 }

@@ -30,8 +30,8 @@
 //!   modeled virtual cost (and the flat O(N) cost it replaces) land in
 //!   the outcome for the scaling bench and the perf gate.
 //!
-//! [`run_fleet_scale`] runs one configuration; [`run_fleet_gate`] is the
-//! CI shape: 256 ranks, sanitized, expected clean.
+//! [`run_fleet_scale`] runs one configuration; CI runs it as
+//! `gate -- fleet` (256 ranks, sanitized) and judges it with [`verdict`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,6 +48,8 @@ use storage_sim::{
 };
 use tfdarshan::job_tree::{spawn_tree_reduce, TreeReduceConfig, TreeReduceHandle, TreeReduceStats};
 use tfdarshan::{JobCtx, JobReport, TfDarshanConfig};
+
+use crate::gate::{Gate, Verdict};
 
 /// Shared manifest on the Lustre scratch.
 pub const MANIFEST: &str = "/scratch/fleet/manifest.bin";
@@ -131,13 +133,18 @@ pub struct FleetOutcome {
     pub sanitizer: Option<SanitizerReport>,
 }
 
+/// A numeric field of `/proc/self/status` (a count such as `Threads`, or
+/// a size in KiB such as `VmHWM`), or `None` off procfs.
+pub fn proc_status(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let mut lines = status.lines();
+    let value = lines.find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?;
+    value.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
 /// Peak resident set size (`VmHWM:`) in KiB from `/proc/self/status`.
 pub fn peak_rss_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+    proc_status("VmHWM")
 }
 
 /// Build the fleet cluster: one node-local SSD mount per node
@@ -309,14 +316,45 @@ pub fn run_fleet_scale(cfg: &FleetConfig) -> FleetOutcome {
     }
 }
 
-/// The CI gate shape: `world_size` ranks, sanitized job bus, dstat shard
-/// columns on. CI runs this at 256 ranks and fails on any finding.
-pub fn run_fleet_gate(world_size: usize) -> FleetOutcome {
-    let cfg = FleetConfig {
-        sanitize: true,
-        ..FleetConfig::new(world_size)
-    };
-    run_fleet_scale(&cfg)
+/// Judge a sanitized fleet run: a clean sanitizer, no missing rank, every
+/// rank read its node's index and its own file, each shared file merged
+/// into one job record, shard columns attributed the traffic, and the
+/// tree reduction cheaper than the flat merge.
+pub fn verdict(out: &FleetOutcome) -> Verdict {
+    let (report, ws, read) = (&out.report, out.world_size, out.bytes_read);
+    let (tree, flat) = (out.reduce.modeled, out.reduce.modeled_flat);
+    let mut v = Verdict::new(Gate::Fleet);
+    let nodes = out.nodes;
+    v.summary
+        .push(format!("{ws} ranks on {nodes} nodes read {read} bytes"));
+    v.summary
+        .push(format!("tree reduce {tree:?}, flat {flat:?}"));
+    match &out.sanitizer {
+        Some(san) => v.check(san.is_clean(), san.render_ascii()),
+        None => v.check(false, "the run was not sanitized"),
+    }
+    let ranks = (report.world_size as usize, report.per_rank.len());
+    v.check(ranks == (ws, ws), format!("{ranks:?} ranks reported"));
+    let missing = &report.missing_ranks;
+    v.check(missing.is_empty(), format!("missing ranks: {missing:?}"));
+    // Every rank read its node's whole index plus its private file, and
+    // the job total is the sum of the ranks'.
+    let per_rank = report.per_rank.iter().map(|r| r.io.bytes_read);
+    let short = per_rank.clone().filter(|&b| b <= NODE_INDEX_BYTES).count();
+    v.check(short == 0, format!("{short} rank(s) read no private data"));
+    let sum: u64 = per_rank.sum();
+    v.check(read == sum, format!("ranks read {sum} bytes"));
+    // The manifest and each node's index: one merged job record each.
+    let shared = std::iter::once(MANIFEST.to_string());
+    for path in shared.chain((0..nodes).map(node_index_path)) {
+        let n = report.job.files.iter().filter(|f| f.path == path).count();
+        v.check(n == 1, format!("{path} is {n} job records"));
+    }
+    let shards = &out.shard_read_totals;
+    let attributed = !shards.is_empty() && shards.iter().all(|&b| b > 0);
+    v.check(attributed, format!("shard read columns {shards:?}"));
+    v.check(tree < flat, "the tree reduce costs more than a flat merge");
+    v
 }
 
 #[cfg(test)]
@@ -325,33 +363,24 @@ mod tests {
 
     #[test]
     fn fleet_gate_is_clean_at_128_ranks() {
-        // The full 256-rank gate runs as a CI example; keep the in-tree
-        // test a notch smaller so `cargo test` stays quick.
-        let out = run_fleet_gate(128);
-        let san = out.sanitizer.as_ref().expect("ran sanitized");
-        assert!(san.is_clean(), "findings: {}", san.render_ascii());
-        assert_eq!(out.report.world_size, 128);
-        assert_eq!(out.report.per_rank.len(), 128);
-        assert!(out.report.missing_ranks.is_empty());
+        // CI runs the gate at 256 ranks; keep the in-tree test a notch
+        // smaller so `cargo test` stays quick.
+        let mut out = run_fleet_scale(&FleetConfig {
+            sanitize: true,
+            ..FleetConfig::new(128)
+        });
+        let v = verdict(&out);
+        assert!(v.passed(), "{}", v.render());
         assert_eq!(out.nodes, 2);
-        // The manifest (read by both node leaders) merged into one
-        // shared record, as did each node's 64-contributor index.
-        let count = |path: &str| {
-            out.report
-                .job
-                .files
-                .iter()
-                .filter(|f| f.path == path)
-                .count()
-        };
-        assert_eq!(count(MANIFEST), 1, "shared manifest merged once");
-        assert_eq!(count(&node_index_path(0)), 1, "node 0 index merged once");
-        assert_eq!(count(&node_index_path(1)), 1, "node 1 index merged once");
         // Private bytes + per-rank index reads + both leaders' manifest.
         assert!(out.bytes_read >= 128 * ((256 << 10) + NODE_INDEX_BYTES) + 2 * MANIFEST_BYTES);
         // Shard columns attributed the traffic (64 ranks/shard -> 2).
         assert_eq!(out.shard_read_totals.len(), 2);
-        assert!(out.shard_read_totals.iter().all(|&b| b > 0));
+
+        // The same run with a rank reported missing fails.
+        out.report.missing_ranks.push(7);
+        let v = verdict(&out);
+        assert_eq!(v.failures, ["missing ranks: [7]"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! evaluation runs — the two trainings, the two STREAM benchmarks, plus
 //! the checkpointing and staging variants — executed with
 //! [`RunConfig::sanitize`] on. A healthy tree produces **zero findings**
-//! on every entry; CI runs the `iosan_gate` example and fails on any.
+//! on every entry; CI runs it as `gate -- iosan` and fails on any.
 //!
 //! The gate is intentionally scaled down (same shapes, smaller datasets)
 //! so the whole suite stays in CI-friendly territory while still
@@ -16,16 +16,7 @@ use tfsim::Parallelism;
 
 use crate::dataset::Scale;
 use crate::experiments::{run, Profiling, RunConfig, Workload};
-
-/// One gate entry: a named workload configuration to sanitize.
-pub struct GateEntry {
-    /// Display name of the configuration.
-    pub name: &'static str,
-    /// Which Table-II workload to run.
-    pub workload: Workload,
-    /// Its configuration (sanitize is forced on by [`run_entry`]).
-    pub config: RunConfig,
-}
+use crate::gate::{Gate, Verdict};
 
 /// Result of sanitizing one entry.
 pub struct GateResult {
@@ -35,20 +26,13 @@ pub struct GateResult {
     pub report: SanitizerReport,
 }
 
-/// The example-workload configurations the gate covers.
-pub fn entries() -> Vec<GateEntry> {
-    let mut out = Vec::new();
-
+/// The example-workload configurations the gate covers, by name.
+pub fn entries() -> Vec<(&'static str, Workload, RunConfig)> {
     // ImageNet/AlexNet training on Kebnekaise under the full profiler.
     let mut imagenet = RunConfig::paper(Workload::ImageNet, Scale::of(0.02));
     imagenet.threads = Parallelism::Fixed(2);
     imagenet.steps = imagenet.steps.min(10);
     imagenet.profiling = Profiling::TfDarshan { full_export: true };
-    out.push(GateEntry {
-        name: "imagenet-training-profiled",
-        workload: Workload::ImageNet,
-        config: imagenet,
-    });
 
     // Malware training on Greendog with checkpoints every other step
     // (exercises the STDIO spill path and its stdio-internal origins).
@@ -56,21 +40,11 @@ pub fn entries() -> Vec<GateEntry> {
     malware.steps = 10;
     malware.checkpoint_every = Some(2);
     malware.profiling = Profiling::TfDarshan { full_export: true };
-    out.push(GateEntry {
-        name: "malware-training-checkpointed",
-        workload: Workload::Malware,
-        config: malware,
-    });
 
     // STREAM over the ImageNet subset with manual profiling windows.
     let mut stream_in = RunConfig::paper(Workload::StreamImageNet, Scale::of(0.04));
     stream_in.threads = Parallelism::Fixed(16);
     stream_in.profiling = Profiling::ManualWindows { every_steps: 5 };
-    out.push(GateEntry {
-        name: "stream-imagenet-manual-windows",
-        workload: Workload::StreamImageNet,
-        config: stream_in,
-    });
 
     // STREAM over the Malware subset with dstat sampling in the background
     // (exercises the daemon task alongside the pool).
@@ -78,68 +52,55 @@ pub fn entries() -> Vec<GateEntry> {
     stream_mw.threads = Parallelism::Fixed(16);
     stream_mw.profiling = Profiling::ManualWindows { every_steps: 5 };
     stream_mw.dstat = true;
-    out.push(GateEntry {
-        name: "stream-malware-dstat",
-        workload: Workload::StreamMalware,
-        config: stream_mw,
-    });
 
     // §V.B staging: migrate small files to Optane before the measured
     // phase, then train over the remapped dataset.
     let mut staged = RunConfig::paper(Workload::Malware, Scale::of(0.03));
     staged.steps = 10;
     staged.stage_below = Some(2 << 20);
-    out.push(GateEntry {
-        name: "malware-staged-small-files",
-        workload: Workload::Malware,
-        config: staged,
-    });
 
-    out
+    vec![
+        ("imagenet-training-profiled", Workload::ImageNet, imagenet),
+        ("malware-training-checkpointed", Workload::Malware, malware),
+        (
+            "stream-imagenet-manual-windows",
+            Workload::StreamImageNet,
+            stream_in,
+        ),
+        ("stream-malware-dstat", Workload::StreamMalware, stream_mw),
+        ("malware-staged-small-files", Workload::Malware, staged),
+    ]
 }
 
-/// Run one entry under the sanitizer.
-pub fn run_entry(entry: GateEntry) -> GateResult {
-    let mut cfg = entry.config;
-    cfg.sanitize = true;
-    let out = run(entry.workload, cfg);
-    GateResult {
-        name: entry.name,
-        report: out.sanitizer.expect("sanitized run yields a report"),
-    }
-}
-
-/// Run the whole gate.
+/// Run every entry under the sanitizer.
 pub fn run_gate() -> Vec<GateResult> {
-    entries().into_iter().map(run_entry).collect()
+    entries()
+        .into_iter()
+        .map(|(name, workload, mut cfg)| {
+            cfg.sanitize = true;
+            let report = run(workload, cfg).sanitizer;
+            GateResult {
+                name,
+                report: report.expect("sanitized run yields a report"),
+            }
+        })
+        .collect()
 }
 
-/// Total findings across the gate.
-pub fn total_findings(results: &[GateResult]) -> usize {
-    results.iter().map(|r| r.report.findings.len()).sum()
-}
-
-/// Render the gate outcome as text (one panel per entry).
-pub fn render(results: &[GateResult]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for r in results {
-        let verdict = if r.report.is_clean() {
-            "clean"
-        } else {
-            "FINDINGS"
-        };
-        let _ = writeln!(out, "== {}: {} ==", r.name, verdict);
-        out.push_str(&r.report.render_ascii());
-        out.push('\n');
+/// Judge the gate: every entry sanitized clean over a run that actually
+/// reached the sanitizer.
+pub fn verdict(results: &[GateResult]) -> Verdict {
+    let mut v = Verdict::new(Gate::Iosan);
+    v.check(!results.is_empty(), "no entries ran");
+    for GateResult { name, report } in results {
+        let (events, findings) = (report.events_analyzed, report.findings.len());
+        v.summary
+            .push(format!("{name}: {events} events, {findings} findings"));
+        v.check(
+            report.is_clean(),
+            format!("{name}: {}", report.render_ascii()),
+        );
+        v.check(events > 1000, format!("{name}: only {events} events"));
     }
-    let total = total_findings(results);
-    let _ = writeln!(
-        out,
-        "gate: {} workload(s), {} finding(s) total -> {}",
-        results.len(),
-        total,
-        if total == 0 { "PASS" } else { "FAIL" }
-    );
-    out
+    v
 }

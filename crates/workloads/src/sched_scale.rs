@@ -10,10 +10,10 @@
 //! sanitizer, which observes both flavors' sync edges on one stream.
 //!
 //! The outcome pairs the scheduler's own counters ([`simrt::SchedStats`])
-//! with the process's OS-thread count read from `/proc/self/status`, so a
-//! test (or the `sched_scaling` bench) can assert the flat-overhead
-//! claim directly: `event_spawns == sim_threads` while the OS-thread
-//! peak stays bounded by the carrier pool.
+//! with the process's OS-thread count read from `/proc/self/status`, so
+//! [`verdict`] (CI's `gate -- scale`) and the `sched_scaling` bench can
+//! assert the flat-overhead claim directly: `event_spawns == sim_threads`
+//! while the OS threads the run adds stay bounded by the carrier pool.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,6 +23,8 @@ use posix_sim::OpenFlags;
 use simrt::sync::Barrier;
 use simrt::{EventCx, EventPoll, SchedStats, SimTime};
 
+use crate::fleet_scale::proc_status;
+use crate::gate::{Gate, Verdict};
 use crate::platform::greendog;
 
 /// Carrier I/O threads the workload always runs (the "real work" pool).
@@ -30,6 +32,10 @@ pub const CARRIER_POOL: usize = 4;
 
 /// Bytes each carrier reads per round.
 const CARRIER_READ: u64 = 64 << 10;
+
+/// OS threads a run may use: the ones it adds plus the host thread driving
+/// it. Run alone, that bounds the process's peak thread count.
+pub const MAX_OS_THREADS: usize = 64;
 
 /// What the scale workload produced.
 pub struct SchedScaleOutcome {
@@ -43,6 +49,9 @@ pub struct SchedScaleOutcome {
     /// run (a process-wide proxy: includes harness threads, so compare
     /// against generous bounds, not exact counts). `None` off procfs.
     pub peak_os_threads: Option<usize>,
+    /// The `Threads:` count just before the run. Carriers are pooled for
+    /// the life of the process, so `peak - base` is what this run added.
+    pub base_os_threads: Option<usize>,
     /// Virtual time the run took.
     pub virtual_wall: SimTime,
     /// Sanitizer verdict over the probe spine, when sanitized.
@@ -51,17 +60,14 @@ pub struct SchedScaleOutcome {
 
 /// Current OS-thread count of this process, from `/proc/self/status`.
 pub fn os_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+    proc_status("Threads").map(|n| n as usize)
 }
 
 /// Run `sim_threads` event tasks for `rounds` sleep+barrier rounds next
 /// to the carrier I/O pool, optionally under the sanitizer.
 pub fn run_sched_scale(sim_threads: usize, rounds: usize, sanitize: bool) -> SchedScaleOutcome {
     assert!(sim_threads > 0 && rounds > 0);
+    let base = os_threads();
     let m = greendog();
     for c in 0..CARRIER_POOL {
         m.stack
@@ -70,7 +76,7 @@ pub fn run_sched_scale(sim_threads: usize, rounds: usize, sanitize: bool) -> Sch
     }
     let san = sanitize.then(|| IoSanitizer::install(&m.sim, m.process.probe()));
 
-    let mut peak = os_threads();
+    let mut peak = base;
     let barrier = Arc::new(Barrier::new(sim_threads));
     for i in 0..sim_threads {
         let barrier = barrier.clone();
@@ -121,9 +127,38 @@ pub fn run_sched_scale(sim_threads: usize, rounds: usize, sanitize: bool) -> Sch
         rounds,
         stats: m.sim.stats(),
         peak_os_threads: peak,
+        base_os_threads: base,
         virtual_wall: m.sim.now(),
         sanitizer: san.map(|s| s.finalize()),
     }
+}
+
+/// Judge a sanitized run: a clean sanitizer, every event task and the
+/// whole carrier pool scheduled, and no OS thread per simulated one.
+pub fn verdict(out: &SchedScaleOutcome) -> Verdict {
+    let (s, n) = (&out.stats, out.sim_threads);
+    let (events, live) = (s.event_spawns as usize, s.peak_live_tasks);
+    let wall = out.virtual_wall.as_secs_f64();
+    let mut v = Verdict::new(Gate::Scale);
+    let rounds = out.rounds;
+    v.summary
+        .push(format!("{n} event tasks x {rounds} rounds: {s:?}"));
+    match &out.sanitizer {
+        Some(san) => v.check(san.is_clean(), san.render_ascii()),
+        None => v.check(false, "the run was not sanitized"),
+    }
+    v.check(events == n, format!("{events} of {n} event tasks ran"));
+    let carriers = s.carrier_spawns as usize;
+    v.check(carriers == CARRIER_POOL, format!("{carriers} carriers ran"));
+    v.check(live >= n, format!("only {live} tasks were ever live"));
+    v.check(wall > 0.0, "no virtual time passed");
+    if let (Some(base), Some(peak)) = (out.base_os_threads, out.peak_os_threads) {
+        let added = peak.saturating_sub(base);
+        v.summary
+            .push(format!("OS threads: {base} before, {peak} peak"));
+        v.check(added < MAX_OS_THREADS, format!("{added} OS threads added"));
+    }
+    v
 }
 
 #[cfg(test)]
@@ -132,21 +167,14 @@ mod tests {
 
     #[test]
     fn two_thousand_sim_threads_stay_on_a_constant_os_pool() {
-        let out = run_sched_scale(2_000, 3, true);
-        assert_eq!(out.stats.event_spawns, 2_000);
-        assert_eq!(out.stats.carrier_spawns as usize, CARRIER_POOL);
-        assert!(out.stats.peak_live_tasks >= 2_000);
-        let san = out.sanitizer.as_ref().expect("ran sanitized");
-        assert!(san.is_clean(), "findings: {}", san.render_ascii());
-        if let Some(peak) = out.peak_os_threads {
-            // The harness runs tests in parallel, so allow plenty of slack;
-            // the claim is orders of magnitude, not an exact count.
-            assert!(
-                peak < 256,
-                "2000 simulated threads should not need {peak} OS threads"
-            );
-        }
-        assert!(out.virtual_wall.as_secs_f64() > 0.0);
+        let mut out = run_sched_scale(2_000, 3, true);
+        let v = verdict(&out);
+        assert!(v.passed(), "{}", v.render());
+
+        // The same run with one event task unaccounted for fails.
+        out.stats.event_spawns -= 1;
+        let v = verdict(&out);
+        assert_eq!(v.failures, ["1999 of 2000 event tasks ran"]);
     }
 
     #[test]

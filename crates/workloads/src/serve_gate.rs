@@ -16,7 +16,7 @@
 //! the job's own bytes-over-union-window reduction. The gate also
 //! round-trips `/jobs` and `/jobs/<id>/report` JSON and checks the live
 //! `/jobs/<id>/html` page escapes the job-supplied id (ids here contain
-//! `<`/`>` on purpose). CI runs the `serve_gate` example and fails on any
+//! `<`/`>` on purpose). CI runs it as `gate -- serve` and fails on any
 //! mismatch.
 
 use std::sync::Arc;
@@ -28,6 +28,7 @@ use serve::{LocalPublisher, Publisher, ServeConfig, ServeDaemon, ServeSink, TcpP
 use tfdarshan::wire::SessionDiffMsg;
 use tfdarshan::{html_escape, JobCtx, TfDarshanConfig, TfDarshanReport};
 
+use crate::gate::{Gate, Verdict};
 use crate::platform::greendog;
 
 /// Files in each job's private dataset.
@@ -41,19 +42,12 @@ pub const CHUNK: u64 = 64 << 10;
 pub struct ServeGateOutcome {
     /// Concurrent jobs run.
     pub jobs: usize,
+    /// Sessions each job published.
+    pub epochs: usize,
     /// Session diffs published across all jobs.
     pub sessions_published: u64,
     /// Exactness violations (empty on success).
     pub mismatches: Vec<String>,
-    /// The final `/metrics` scrape, for display.
-    pub metrics: String,
-}
-
-impl ServeGateOutcome {
-    /// Did every check hold?
-    pub fn passed(&self) -> bool {
-        self.mismatches.is_empty()
-    }
 }
 
 fn job_id(j: usize) -> String {
@@ -75,15 +69,16 @@ fn urlencode(s: &str) -> String {
     out
 }
 
-/// One job: its own machine, JobCtx, and `epochs` publish cycles.
+/// One simulated training job `j` publishing as `id`: its own machine,
+/// `JobCtx`, and `epochs` profiling windows over a private dataset.
 /// Returns the messages it actually published — the gate's ground truth.
-fn run_one_job(
+pub fn run_job(
+    id: &str,
     j: usize,
     epochs: usize,
     publisher: Arc<dyn Publisher>,
-) -> (String, Vec<SessionDiffMsg>) {
+) -> Vec<SessionDiffMsg> {
     let m = greendog();
-    let id = job_id(j);
     let paths: Vec<String> = (0..FILES)
         .map(|i| format!("/data/ssd/serve/j{j}/f{i}"))
         .collect();
@@ -94,7 +89,7 @@ fn run_one_job(
     }
 
     let job = Arc::new(JobCtx::new(&m.stack, 1, &TfDarshanConfig::default()));
-    let sink = Arc::new(ServeSink::new(id.clone(), publisher));
+    let sink = Arc::new(ServeSink::new(id, publisher));
     // Ride the rank's probe spine too: live gauges advance while epochs
     // run, independent of session publication.
     job.rank(0).probe().register(sink.clone());
@@ -132,7 +127,7 @@ fn run_one_job(
         msgs.iter().map(|m| m.report.io.bytes_read).sum::<u64>(),
         "live spine gauge agrees with the published sessions"
     );
-    (id, msgs)
+    msgs
 }
 
 fn metric_value(body: &str, line_start: &str) -> Option<String> {
@@ -156,12 +151,13 @@ pub fn run_serve_gate(n_jobs: usize, epochs: usize) -> ServeGateOutcome {
             } else {
                 Arc::new(TcpPublisher::new(ingest))
             };
-            std::thread::spawn(move || run_one_job(j, epochs, publisher))
+            std::thread::spawn(move || run_job(&job_id(j), j, epochs, publisher))
         })
         .collect();
     let jobs: Vec<(String, Vec<SessionDiffMsg>)> = handles
         .into_iter()
-        .map(|h| h.join().expect("job runs"))
+        .enumerate()
+        .map(|(j, h)| (job_id(j), h.join().expect("job runs")))
         .collect();
     let total: u64 = jobs.iter().map(|(_, m)| m.len() as u64).sum();
 
@@ -276,10 +272,23 @@ pub fn run_serve_gate(n_jobs: usize, epochs: usize) -> ServeGateOutcome {
     daemon.shutdown();
     ServeGateOutcome {
         jobs: n_jobs,
+        epochs,
         sessions_published: total,
         mismatches,
-        metrics,
     }
+}
+
+/// Judge the gate: every job published all its sessions and the daemon
+/// matched every job's own reduction exactly.
+pub fn verdict(out: &ServeGateOutcome) -> Verdict {
+    let (jobs, sent) = (out.jobs, out.sessions_published);
+    let mut v = Verdict::new(Gate::Serve);
+    v.summary
+        .push(format!("{jobs} jobs published {sent} diffs"));
+    let want = (jobs * out.epochs) as u64;
+    v.check(sent == want, format!("{sent} of {want} diffs published"));
+    v.failures.extend(out.mismatches.iter().cloned());
+    v
 }
 
 #[cfg(test)]
@@ -290,6 +299,7 @@ mod tests {
     fn gate_holds_exactness_across_four_concurrent_jobs() {
         let out = run_serve_gate(4, 2);
         assert_eq!(out.sessions_published, 8);
-        assert!(out.passed(), "mismatches: {:?}", out.mismatches);
+        let v = verdict(&out);
+        assert!(v.passed(), "{}", v.render());
     }
 }

@@ -17,12 +17,8 @@
 
 use std::sync::Arc;
 
-use tf_darshan::posix::OpenFlags;
-use tf_darshan::serve::{
-    LocalPublisher, Publisher, ServeConfig, ServeDaemon, ServeSink, TcpPublisher,
-};
-use tf_darshan::tfdarshan::{JobCtx, TfDarshanConfig};
-use tf_darshan::workloads::greendog;
+use tf_darshan::serve::{LocalPublisher, Publisher, ServeConfig, ServeDaemon, TcpPublisher};
+use tf_darshan::workloads::serve_gate::run_job;
 
 fn main() {
     let daemon = ServeDaemon::start(ServeConfig::default()).expect("daemon binds");
@@ -38,7 +34,9 @@ fn main() {
             } else {
                 Arc::new(TcpPublisher::new(daemon.ingest_addr()))
             };
-            std::thread::spawn(move || run_job(j, publisher))
+            // Three epochs over a small private dataset, one session diff
+            // published per profiling window.
+            std::thread::spawn(move || run_job(&format!("train-{j}"), j, 3, publisher))
         })
         .collect();
     for h in handles {
@@ -66,38 +64,4 @@ fn main() {
 
     daemon.shutdown();
     println!("\ndaemon stopped.");
-}
-
-/// One simulated training job: three epochs over a small private dataset,
-/// publishing each profiling window as a session diff.
-fn run_job(j: usize, publisher: Arc<dyn Publisher>) {
-    let m = greendog();
-    let path = format!("/data/ssd/smoke/j{j}/data.bin");
-    m.stack
-        .create_synthetic(&path, 512 << 10, j as u64)
-        .unwrap();
-
-    let job = Arc::new(JobCtx::new(&m.stack, 1, &TfDarshanConfig::default()));
-    let sink = Arc::new(ServeSink::new(format!("train-{j}"), publisher));
-    let (j2, sink2) = (job.clone(), sink.clone());
-    m.sim.spawn("trainer", move || {
-        let process = j2.rank(0).process().clone();
-        for _ in 0..3 {
-            j2.mark_start().expect("attach");
-            let fd = process.open(&path, OpenFlags::rdonly()).unwrap();
-            let mut off = 0u64;
-            loop {
-                let n = process.pread(fd, off, 64 << 10, None).unwrap();
-                if n == 0 {
-                    break;
-                }
-                off += n;
-            }
-            process.close(fd).unwrap();
-            j2.mark_stop();
-            let session = j2.rank(0).session().expect("window closed");
-            sink2.publish_session(&session);
-        }
-    });
-    m.sim.run();
 }
