@@ -31,7 +31,6 @@ use mpi_sim::MpiWorld;
 use posix_sim::{GotError, Process};
 use probe::ProbeBus;
 use serde::{Deserialize, Serialize};
-use simrt::{EventHandle, EventTask, Sim};
 use storage_sim::StorageStack;
 
 use crate::analysis::{analyze, diff, per_file, SnapshotDiff};
@@ -372,26 +371,6 @@ impl JobCtx {
             &crate::job_tree::TreeReduceConfig::default(),
         );
         Some(report)
-    }
-
-    /// Spawn one *event task* per rank as the rank's driver — the scalable
-    /// path for wide jobs: each rank costs a run-calendar entry instead of
-    /// a parked OS thread, so a 1k-rank job needs a 1k-entry heap, not 1k
-    /// stacks. `f` builds rank `r`'s state machine from its id and
-    /// process; the machine is polled inline by the scheduler and must use
-    /// the poll-flavored sync/collective APIs (blocking calls from a poll
-    /// panic). Ranks that genuinely need blocking POSIX code keep using
-    /// carrier threads via `sim.spawn` — the two flavors interleave on one
-    /// calendar with identical virtual-time semantics.
-    pub fn spawn_rank_events<M, F>(&self, sim: &Sim, f: F) -> Vec<EventHandle>
-    where
-        M: EventTask + 'static,
-        F: Fn(u32, Arc<Process>) -> M,
-    {
-        self.ranks
-            .iter()
-            .map(|r| sim.spawn_event(format!("rank{}", r.rank), f(r.rank, r.process.clone())))
-            .collect()
     }
 
     /// Detach the job-wide bus (if one was created) from every rank's

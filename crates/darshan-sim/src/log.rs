@@ -30,6 +30,14 @@ use crate::runtime::{DxtOp, DxtSegment};
 const MAGIC: &[u8; 4] = b"DSIM";
 const VERSION: u32 = 2;
 
+/// Encoded sizes of the repeated items: a name entry without its bytes, a
+/// POSIX and a STDIO record, a DXT file header, and one DXT segment.
+const NAME_HEAD: usize = 8 + 4;
+const POSIX_REC: usize = 8 + 8 * (PosixCounter::COUNT + PosixFCounter::COUNT);
+const STDIO_REC: usize = 8 + 8 * (StdioCounter::COUNT + StdioFCounter::COUNT);
+const DXT_HEAD: usize = 8 + 4;
+const DXT_SEG: usize = 1 + 4 + 16 + 16;
+
 /// A fully materialized Darshan log (what shutdown produces and the parser
 /// returns).
 #[derive(Clone, Debug, Default)]
@@ -142,7 +150,9 @@ impl DarshanLog {
         b.freeze()
     }
 
-    /// Parse from bytes.
+    /// Parse from bytes. Never trusts a count in the file for more than
+    /// the remaining bytes can hold: a corrupt or hostile log fails with
+    /// [`LogError::Truncated`] instead of allocating without a bound.
     pub fn decode(mut data: &[u8]) -> Result<DarshanLog, LogError> {
         fn need(data: &[u8], n: usize) -> Result<(), LogError> {
             if data.remaining() < n {
@@ -150,6 +160,10 @@ impl DarshanLog {
             } else {
                 Ok(())
             }
+        }
+        /// Capacity for `count` items of at least `item` bytes each.
+        fn cap(data: &[u8], count: usize, item: usize) -> usize {
+            count.min(data.remaining() / item)
         }
         need(data, 8)?;
         let mut magic = [0u8; 4];
@@ -168,9 +182,9 @@ impl DarshanLog {
 
         need(data, 4)?;
         let n_names = data.get_u32_le() as usize;
-        let mut names = HashMap::with_capacity(n_names);
+        let mut names = HashMap::with_capacity(cap(data, n_names, NAME_HEAD));
         for _ in 0..n_names {
-            need(data, 12)?;
+            need(data, NAME_HEAD)?;
             let id = data.get_u64_le();
             let len = data.get_u32_le() as usize;
             need(data, len)?;
@@ -183,9 +197,9 @@ impl DarshanLog {
         need(data, 5)?;
         let posix_partial = data.get_u8() != 0;
         let n_posix = data.get_u32_le() as usize;
-        let mut posix = Vec::with_capacity(n_posix);
+        let mut posix = Vec::with_capacity(cap(data, n_posix, POSIX_REC));
         for _ in 0..n_posix {
-            need(data, 8 + 8 * (PosixCounter::COUNT + PosixFCounter::COUNT))?;
+            need(data, POSIX_REC)?;
             let mut r = PosixRecord::new(data.get_u64_le());
             for c in r.counters.iter_mut() {
                 *c = data.get_i64_le();
@@ -199,9 +213,9 @@ impl DarshanLog {
         need(data, 5)?;
         let stdio_partial = data.get_u8() != 0;
         let n_stdio = data.get_u32_le() as usize;
-        let mut stdio = Vec::with_capacity(n_stdio);
+        let mut stdio = Vec::with_capacity(cap(data, n_stdio, STDIO_REC));
         for _ in 0..n_stdio {
-            need(data, 8 + 8 * (StdioCounter::COUNT + StdioFCounter::COUNT))?;
+            need(data, STDIO_REC)?;
             let mut r = StdioRecord::new(data.get_u64_le());
             for c in r.counters.iter_mut() {
                 *c = data.get_i64_le();
@@ -214,14 +228,14 @@ impl DarshanLog {
 
         need(data, 4)?;
         let n_dxt = data.get_u32_le() as usize;
-        let mut dxt = HashMap::with_capacity(n_dxt);
+        let mut dxt = HashMap::with_capacity(cap(data, n_dxt, DXT_HEAD));
         for _ in 0..n_dxt {
-            need(data, 12)?;
+            need(data, DXT_HEAD)?;
             let id = data.get_u64_le();
             let nsegs = data.get_u32_le() as usize;
-            let mut segs = Vec::with_capacity(nsegs);
+            let mut segs = Vec::with_capacity(cap(data, nsegs, DXT_SEG));
             for _ in 0..nsegs {
-                need(data, 1 + 4 + 16 + 16)?;
+                need(data, DXT_SEG)?;
                 let op = match data.get_u8() {
                     0 => DxtOp::Read,
                     _ => DxtOp::Write,
@@ -296,6 +310,7 @@ impl DarshanLog {
 mod tests {
     use super::*;
     use crate::counters::record_id;
+    use proptest::prelude::*;
 
     fn sample_log() -> DarshanLog {
         let mut r = PosixRecord::new(record_id("/d/a"));
@@ -379,6 +394,65 @@ mod tests {
         for cut in [3, 10, 50, bytes.len() - 1] {
             let r = DarshanLog::decode(&bytes[..cut]);
             assert!(r.is_err(), "cut at {cut} must fail");
+        }
+    }
+
+    /// A valid header and empty name table, then a POSIX section that
+    /// claims `u32::MAX` records and holds none.
+    fn huge_count_log() -> Vec<u8> {
+        let mut b = BytesMut::new();
+        b.put_slice(MAGIC);
+        b.put_u32_le(VERSION);
+        b.put_f64_le(0.0);
+        b.put_f64_le(1.0);
+        b.put_u32_le(1);
+        b.put_u32_le(0); // names
+        b.put_u8(0); // posix_partial
+        b.put_u32_le(u32::MAX); // posix records
+        b.to_vec()
+    }
+
+    #[test]
+    fn huge_record_count_is_truncated_not_allocated() {
+        // Pre-allocating for the claimed count asked for 2.37 TB and
+        // aborted the process.
+        let log = huge_count_log();
+        assert_eq!(log.len(), 37);
+        assert_eq!(DarshanLog::decode(&log).unwrap_err(), LogError::Truncated);
+    }
+
+    proptest! {
+        // Decoding a few hundred bytes takes microseconds: fuzz wide.
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..1024),
+            valid_head in any::<bool>(),
+        ) {
+            // Half the cases get past the magic and version checks.
+            let mut data = if valid_head { huge_count_log()[..8].to_vec() } else { Vec::new() };
+            data.extend(bytes);
+            let _ = DarshanLog::decode(&data);
+        }
+
+        #[test]
+        fn decode_never_panics_on_truncated_logs(cut in 0usize..4096) {
+            let bytes = sample_log().encode();
+            let cut = cut % bytes.len();
+            prop_assert_eq!(DarshanLog::decode(&bytes[..cut]).unwrap_err(), LogError::Truncated);
+        }
+
+        #[test]
+        fn decode_never_panics_on_bit_flipped_logs(
+            flips in prop::collection::vec((0usize..4096, 0u8..8), 1..8),
+        ) {
+            let mut bytes = sample_log().encode().to_vec();
+            let len = bytes.len();
+            for (at, bit) in flips {
+                bytes[at % len] ^= 1 << bit;
+            }
+            let _ = DarshanLog::decode(&bytes);
         }
     }
 

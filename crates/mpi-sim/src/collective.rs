@@ -12,51 +12,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use simrt::sleep;
 use simrt::sync::{Condvar, Mutex};
-use simrt::{dur, sleep};
 
 use crate::comm::NetworkModel;
-
-/// Communication shape a [`SumAllreduce`] charges its contributors for.
-///
-/// The fusion *result* is identical for every topology — contributions are
-/// merged element-wise under one lock either way — and so are the
-/// Signal/Wait happens-before edges the wait emits (the sanitizer stays
-/// flavor-blind). Only the per-round virtual-time cost differs: how many
-/// exchange rounds a real implementation of that shape would take.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FusionTopology {
-    /// Classic ring allreduce: `2(n−1)` latency steps, bandwidth-optimal
-    /// volume. Linear in the member count — fine for a handful of peers.
-    #[default]
-    Ring,
-    /// Recursive doubling (butterfly): `⌈log2 n⌉` rounds, each moving the
-    /// full vector. Latency grows with the *log* of the member count —
-    /// the fleet-scale choice.
-    RecursiveDoubling,
-    /// NoPFS-shaped two-level hierarchy: recursive doubling inside each
-    /// node group of `ranks_per_node` members, then recursive doubling
-    /// across the group leaders. `⌈log2 r⌉ + ⌈log2 ⌈n/r⌉⌉` rounds.
-    Hierarchical {
-        /// Members per node group (the per-node fan-in).
-        ranks_per_node: usize,
-    },
-}
-
-impl FusionTopology {
-    /// Exchange rounds a real implementation would take for `n` members.
-    fn rounds(&self, n: f64) -> f64 {
-        match *self {
-            FusionTopology::Ring => 2.0 * (n - 1.0),
-            FusionTopology::RecursiveDoubling => n.log2().ceil(),
-            FusionTopology::Hierarchical { ranks_per_node } => {
-                let r = (ranks_per_node.max(1) as f64).min(n);
-                let nodes = (n / r).ceil();
-                r.log2().ceil() + nodes.log2().ceil()
-            }
-        }
-    }
-}
 
 struct SumState {
     /// Members still participating; a round completes when `arrived == live`.
@@ -79,34 +38,25 @@ struct SumState {
 /// member permanently and, if the remaining members are all waiting,
 /// completes the pending round — shutdown can never deadlock a peer.
 ///
-/// Cost model: the ring-allreduce formula of [`crate::Comm::allreduce_bytes`]
-/// applied to the serialized size of the fused vector, charged to every
-/// contributor of the round. Built on virtual-time primitives, so the wait
-/// also emits the Signal/Wait sync events that give `iosan` cross-member
-/// happens-before edges.
+/// Cost model: [`NetworkModel::ring_allreduce`] — the formula
+/// [`crate::Comm::allreduce_bytes`] charges — applied to the serialized
+/// size of the fused vector, charged to every contributor of the round.
+/// Built on virtual-time primitives, so the wait also emits the
+/// Signal/Wait sync events that give `iosan` cross-member happens-before
+/// edges.
 #[derive(Clone)]
 pub struct SumAllreduce {
     net: NetworkModel,
-    topology: FusionTopology,
     state: Arc<Mutex<SumState>>,
     cv: Arc<Condvar>,
 }
 
 impl SumAllreduce {
-    /// A collective for `members` participants over interconnect `net`,
-    /// with the default [`FusionTopology::Ring`] cost shape.
+    /// A collective for `members` participants over interconnect `net`.
     pub fn new(net: NetworkModel, members: usize) -> Self {
-        Self::with_topology(net, members, FusionTopology::default())
-    }
-
-    /// [`SumAllreduce::new`] with an explicit cost topology. Fusion
-    /// semantics and happens-before edges are topology-independent; only
-    /// the per-round charge changes.
-    pub fn with_topology(net: NetworkModel, members: usize, topology: FusionTopology) -> Self {
         assert!(members > 0);
         SumAllreduce {
             net,
-            topology,
             state: Arc::new(Mutex::named(
                 SumState {
                     live: members,
@@ -149,54 +99,6 @@ impl SumAllreduce {
         result
     }
 
-    /// Event-task path for [`SumAllreduce::allreduce`], driven with a
-    /// [`SumProgress`] (one per in-flight round; it resets itself on
-    /// completion). Returns `None` while the round is incomplete — the
-    /// event task should return `EventPoll::Block { deadline: None }` and
-    /// re-poll when woken. On completion it returns the fused vector plus
-    /// the network cost to charge; the event task charges it by returning
-    /// `EventPoll::Sleep(cost)`. Interoperates with carrier contributors
-    /// and with [`SumAllreduce::leave`].
-    pub fn poll_allreduce(
-        &self,
-        local: &HashMap<String, u64>,
-        p: &mut SumProgress,
-    ) -> Option<(Arc<HashMap<String, u64>>, std::time::Duration)> {
-        let Some(mut st) = self.state.poll_lock() else {
-            return None; // queued on the state lock; re-poll when woken
-        };
-        if !p.contributed {
-            for (k, v) in local {
-                *st.acc.entry(k.clone()).or_insert(0) += *v;
-            }
-            st.arrived += 1;
-            p.my_round = st.round;
-            p.contributed = true;
-            if st.arrived >= st.live {
-                let result = Self::complete_round(&mut st, &self.cv);
-                let peers = st.live;
-                drop(st);
-                *p = SumProgress::default();
-                let cost = self.cost_of(&result, peers);
-                return Some((result, cost));
-            }
-            self.cv.register_waiter();
-            return None;
-        }
-        if st.round != p.my_round {
-            let result = st.result.clone();
-            let peers = st.live;
-            drop(st);
-            self.cv.ack_wait();
-            *p = SumProgress::default();
-            let cost = self.cost_of(&result, peers);
-            return Some((result, cost));
-        }
-        // Spurious wake: round still pending. Stay registered and re-block.
-        self.cv.register_waiter();
-        None
-    }
-
     /// Leave the collective. If the remaining members are all blocked in
     /// the current round, the round completes now with their contributions.
     pub fn leave(&self) {
@@ -218,47 +120,17 @@ impl SumAllreduce {
         st.result.clone()
     }
 
-    /// The configured cost topology.
-    pub fn topology(&self) -> FusionTopology {
-        self.topology
-    }
-
-    /// Per-contributor cost of fusing `result` across `peers` members
-    /// under the configured topology. Ring moves the bandwidth-optimal
-    /// `2(n−1)/n` of the vector; the log-depth shapes move the full
-    /// vector each round.
-    fn cost_of(&self, result: &HashMap<String, u64>, peers: usize) -> std::time::Duration {
-        let n = peers as f64;
-        if n <= 1.0 {
-            return std::time::Duration::ZERO;
-        }
-        let bytes: usize = result.keys().map(|k| k.len() + 8).sum();
-        let steps = self.topology.rounds(n);
-        let volume = match self.topology {
-            FusionTopology::Ring => 2.0 * (n - 1.0) / n * bytes as f64,
-            _ => steps * bytes as f64,
-        };
-        dur::secs_f64(self.net.latency.as_secs_f64() * steps + volume / self.net.bandwidth)
-    }
-
     /// Charge the allreduce cost inline (carrier contributors).
     fn charge(&self, result: &HashMap<String, u64>, peers: usize) {
         if !simrt::on_sim_thread() {
             return;
         }
-        let cost = self.cost_of(result, peers);
+        let bytes: usize = result.keys().map(|k| k.len() + 8).sum();
+        let cost = self.net.ring_allreduce(peers, bytes as u64);
         if !cost.is_zero() {
             sleep(cost);
         }
     }
-}
-
-/// Progress of one member through a polled [`SumAllreduce`] round. Create
-/// with `default()`; resets itself when the round completes.
-#[derive(Default)]
-pub struct SumProgress {
-    contributed: bool,
-    my_round: u64,
 }
 
 #[cfg(test)]
@@ -339,63 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn event_members_fuse_with_carrier_members() {
-        use simrt::{EventCx, EventPoll};
+    fn leave_during_fusion_ws8() {
+        // Regression (fleet refactor): a member that leaves mid-round —
+        // after some peers contributed, before the round completed — must
+        // neither deadlock the seven waiters nor corrupt the partial sum.
+        // The leaver never contributes; the fused vector is exactly the
+        // seven live contributions.
         let sim = Sim::new();
-        let all = SumAllreduce::new(NetworkModel::default(), 3);
-        let results = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        // Two event members and one carrier member contribute to one round.
-        for rank in 0..2u64 {
-            let all = all.clone();
-            let results = results.clone();
-            let mut prog = SumProgress::default();
-            let mut charged = false;
-            sim.spawn_event(format!("e{rank}"), move |_cx: &mut EventCx| {
-                if charged {
-                    return EventPoll::Done;
-                }
-                let local = map(&[("shared", rank + 1)]);
-                match all.poll_allreduce(&local, &mut prog) {
-                    None => EventPoll::Block { deadline: None },
-                    Some((fused, cost)) => {
-                        results.lock().push(fused);
-                        charged = true;
-                        EventPoll::Sleep(cost)
-                    }
-                }
-            });
-        }
-        {
-            let all = all.clone();
-            let results = results.clone();
-            sim.spawn("carrier", move || {
-                let fused = all.allreduce(&map(&[("shared", 3)]));
-                results.lock().push(fused);
-            });
-        }
-        sim.run();
-        let results = results.lock();
-        assert_eq!(results.len(), 3);
-        for fused in results.iter() {
-            assert_eq!(fused["shared"], 1 + 2 + 3);
-        }
-        assert!(sim.now().as_secs_f64() > 0.0, "cost was charged");
-    }
-
-    #[test]
-    fn leave_during_fusion_tree_topology_ws8() {
-        // Regression (fleet refactor): under the log-depth topology, a
-        // member that leaves mid-round — after some peers contributed,
-        // before the round completed — must neither deadlock the seven
-        // waiters nor corrupt the partial sum. The leaver never
-        // contributes; the fused vector is exactly the seven live
-        // contributions.
-        let sim = Sim::new();
-        let all = SumAllreduce::with_topology(
-            NetworkModel::default(),
-            8,
-            FusionTopology::RecursiveDoubling,
-        );
+        let all = SumAllreduce::new(NetworkModel::default(), 8);
         let results = Arc::new(parking_lot::Mutex::new(Vec::new()));
         for rank in 0..7u64 {
             let all = all.clone();
@@ -426,32 +249,46 @@ mod tests {
     }
 
     #[test]
-    fn tree_topology_latency_is_log_depth() {
-        // Same vector, same membership: ring charges 2(n-1) latency steps,
-        // recursive doubling ceil(log2 n) — at n=64 that is 126 vs 6.
-        let run = |topo: FusionTopology| {
+    fn charges_the_same_ring_cost_as_world_allreduce() {
+        // Same member count, same bytes: the fused-vector round and the
+        // world collective charge one formula, to the nanosecond.
+        let fused_round = |members: usize, local: HashMap<String, u64>| {
             let sim = Sim::new();
-            let all = SumAllreduce::with_topology(NetworkModel::default(), 64, topo);
-            for rank in 0..64 {
-                let all = all.clone();
+            let all = SumAllreduce::new(NetworkModel::default(), members);
+            for rank in 0..members {
+                let (all, local) = (all.clone(), local.clone());
                 sim.spawn(format!("m{rank}"), move || {
-                    all.allreduce(&map(&[("h", 1)]));
+                    all.allreduce(&local);
                 });
             }
             sim.run();
-            sim.now().as_secs_f64()
+            sim.now()
         };
-        let ring = run(FusionTopology::Ring);
-        let tree = run(FusionTopology::RecursiveDoubling);
-        let hier = run(FusionTopology::Hierarchical { ranks_per_node: 8 });
-        assert!(
-            tree < ring / 4.0,
-            "tree ({tree}) should be far below ring ({ring}) at n=64"
-        );
-        assert!(
-            hier < ring / 4.0,
-            "hierarchical ({hier}) should be far below ring ({ring}) at n=64"
-        );
+        let world_allreduce = |members: usize, bytes: u64| {
+            let sim = Sim::new();
+            let world = crate::MpiWorld::new(
+                &storage_sim::StorageStack::new(),
+                members,
+                NetworkModel::default(),
+            );
+            world.spawn_ranks(&sim, move |comm| comm.allreduce_bytes(bytes));
+            sim.run();
+            sim.now()
+        };
+        for members in [2, 3, 7, 64] {
+            for entries in [1usize, 13, 1000] {
+                let local: HashMap<String, u64> =
+                    (0..entries).map(|i| (format!("/hdd/f{i}"), 1)).collect();
+                let bytes: usize = local.keys().map(|k| k.len() + 8).sum();
+                let fused = fused_round(members, local);
+                assert!(fused > simrt::SimTime::ZERO);
+                assert_eq!(
+                    fused,
+                    world_allreduce(members, bytes as u64),
+                    "{members} members, {bytes} bytes"
+                );
+            }
+        }
     }
 
     #[test]

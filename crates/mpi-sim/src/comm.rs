@@ -14,9 +14,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 use posix_sim::Process;
 use simrt::sync::Barrier;
-use simrt::{
-    dur, emit_sync, new_sync_obj_id, sleep, EventHandle, EventTask, JoinHandle, Sim, SyncOp,
-};
+use simrt::{dur, emit_sync, new_sync_obj_id, sleep, JoinHandle, Sim, SyncOp};
 use storage_sim::StorageStack;
 
 use crate::io::{DefaultMpiIo, MpiIoLayer};
@@ -36,6 +34,22 @@ impl Default for NetworkModel {
             latency: Duration::from_micros(2),
             bandwidth: 10.0e9, // ~100 Gb/s
         }
+    }
+}
+
+impl NetworkModel {
+    /// Ring allreduce of `bytes` across `members` ranks: `2(n−1)` latency
+    /// steps moving the bandwidth-optimal `2(n−1)/n` of the vector. Zero
+    /// for a single member. The one cost formula behind both
+    /// [`Comm::allreduce_bytes`] and [`crate::SumAllreduce`].
+    pub fn ring_allreduce(&self, members: usize, bytes: u64) -> Duration {
+        let n = members as f64;
+        if n <= 1.0 {
+            return Duration::ZERO;
+        }
+        let steps = 2.0 * (n - 1.0);
+        let volume = 2.0 * (n - 1.0) / n * bytes as f64;
+        dur::secs_f64(self.latency.as_secs_f64() * steps + volume / self.bandwidth)
     }
 }
 
@@ -183,52 +197,6 @@ impl MpiWorld {
             })
             .collect()
     }
-
-    /// Spawn one *event task* per rank — no OS thread per rank, so worlds
-    /// of thousands of ranks cost thousands of heap entries instead of
-    /// thousands of real threads. `f(comm)` builds each rank's state
-    /// machine; drive collectives with the `poll_*` methods on [`Comm`]
-    /// (a rank driver that needs blocking POSIX I/O belongs on
-    /// [`MpiWorld::spawn_ranks`] instead).
-    pub fn spawn_rank_events<M, F>(&self, sim: &Sim, f: F) -> Vec<EventHandle>
-    where
-        M: EventTask + 'static,
-        F: Fn(Comm) -> M,
-    {
-        (0..self.inner.size)
-            .map(|rank| {
-                let comm = Comm {
-                    world: self.clone(),
-                    rank,
-                };
-                sim.spawn_event(format!("rank{rank}"), f(comm))
-            })
-            .collect()
-    }
-}
-
-/// What an in-flight polled collective asks its event task to do next.
-#[derive(Debug, PartialEq, Eq)]
-pub enum CollectivePoll {
-    /// Not all ranks have arrived: block (no deadline) and re-poll when
-    /// woken.
-    Pending,
-    /// All ranks arrived; charge this network cost (via
-    /// `EventPoll::Sleep`), then re-poll.
-    Charge(Duration),
-    /// The collective completed; the progress token has reset for reuse.
-    Done,
-}
-
-/// Progress of one rank through a polled collective. Create with
-/// `default()`; one token drives one collective call at a time and resets
-/// itself on completion, so a rank can reuse it round after round.
-#[derive(Default)]
-pub struct CollectiveProgress {
-    /// 0 = not arrived, 1 = in the entry crossing, 2 = cost charged, in
-    /// the exit crossing.
-    phase: u8,
-    token: Option<u64>,
 }
 
 /// A rank's view of the communicator (`MPI_COMM_WORLD`).
@@ -282,7 +250,7 @@ impl Comm {
         emit_sync(SyncOp::Signal, w.sync_obj, &w.sync_labels.allreduce);
         w.barrier.wait();
         if n > 1.0 {
-            sleep(self.allreduce_cost(bytes));
+            sleep(w.net.ring_allreduce(self.size(), bytes));
         }
         w.barrier.wait();
         emit_sync(SyncOp::Wait, w.sync_obj, &w.sync_labels.allreduce);
@@ -299,14 +267,6 @@ impl Comm {
         }
         w.barrier.wait();
         emit_sync(SyncOp::Wait, w.sync_obj, &w.sync_labels.bcast);
-    }
-
-    fn allreduce_cost(&self, bytes: u64) -> Duration {
-        let net = &self.world.inner.net;
-        let n = self.size() as f64;
-        let steps = 2.0 * (n - 1.0);
-        let volume = 2.0 * (n - 1.0) / n * bytes as f64;
-        dur::secs_f64(net.latency.as_secs_f64() * steps + volume / net.bandwidth)
     }
 
     fn bcast_cost(&self, bytes: u64) -> Duration {
@@ -326,95 +286,6 @@ impl Comm {
         let rounds = n.log2().ceil();
         dur::secs_f64(self.world.inner.net.latency.as_secs_f64() * rounds)
     }
-
-    /// Event-task path for [`Comm::barrier`]: drive with a
-    /// [`CollectiveProgress`], mapping [`CollectivePoll::Pending`] to
-    /// `EventPoll::Block` and [`CollectivePoll::Charge`] to
-    /// `EventPoll::Sleep`. A 1k-rank barrier then costs 1k calendar
-    /// entries, not 1k parked OS threads. Interoperates with carrier ranks
-    /// blocked in the same collective.
-    pub fn poll_barrier(&self, progress: &mut CollectiveProgress) -> CollectivePoll {
-        let cost = self.barrier_cost();
-        self.poll_collective(progress, cost, SyncLabelKind::Barrier)
-    }
-
-    /// Event-task path for [`Comm::allreduce_bytes`].
-    pub fn poll_allreduce_bytes(
-        &self,
-        bytes: u64,
-        progress: &mut CollectiveProgress,
-    ) -> CollectivePoll {
-        let cost = if self.size() > 1 {
-            self.allreduce_cost(bytes)
-        } else {
-            Duration::ZERO
-        };
-        self.poll_collective(progress, cost, SyncLabelKind::Allreduce)
-    }
-
-    /// Event-task path for [`Comm::bcast_bytes`].
-    pub fn poll_bcast_bytes(
-        &self,
-        bytes: u64,
-        progress: &mut CollectiveProgress,
-    ) -> CollectivePoll {
-        let cost = if self.size() > 1 {
-            self.bcast_cost(bytes)
-        } else {
-            Duration::ZERO
-        };
-        self.poll_collective(progress, cost, SyncLabelKind::Bcast)
-    }
-
-    /// The shared collective shape: Signal on arrival, entry crossing,
-    /// network cost, exit crossing, Wait on departure — identical edges to
-    /// the blocking paths, so iosan's cross-rank happens-before analysis
-    /// cannot tell the flavors apart.
-    fn poll_collective(
-        &self,
-        p: &mut CollectiveProgress,
-        cost: Duration,
-        kind: SyncLabelKind,
-    ) -> CollectivePoll {
-        let w = &self.world.inner;
-        let label = match kind {
-            SyncLabelKind::Barrier => &w.sync_labels.barrier,
-            SyncLabelKind::Allreduce => &w.sync_labels.allreduce,
-            SyncLabelKind::Bcast => &w.sync_labels.bcast,
-        };
-        loop {
-            match p.phase {
-                0 => {
-                    emit_sync(SyncOp::Signal, w.sync_obj, label);
-                    p.phase = 1;
-                }
-                1 => match w.barrier.poll_wait(&mut p.token) {
-                    None => return CollectivePoll::Pending,
-                    Some(_) => {
-                        p.phase = 2;
-                        if !cost.is_zero() {
-                            return CollectivePoll::Charge(cost);
-                        }
-                    }
-                },
-                _ => match w.barrier.poll_wait(&mut p.token) {
-                    None => return CollectivePoll::Pending,
-                    Some(_) => {
-                        emit_sync(SyncOp::Wait, w.sync_obj, label);
-                        *p = CollectiveProgress::default();
-                        return CollectivePoll::Done;
-                    }
-                },
-            }
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum SyncLabelKind {
-    Barrier,
-    Allreduce,
-    Bcast,
 }
 
 #[cfg(test)]
@@ -520,100 +391,6 @@ mod tests {
         dup.spawn_ranks(&sim, |comm| comm.barrier());
         sim.run();
         assert!(sim.now().as_secs_f64() > 0.0);
-    }
-
-    #[test]
-    fn event_ranks_cross_collectives_at_carrier_times() {
-        use simrt::{EventCx, EventPoll};
-        // The same workload — staggered arrival, barrier, allreduce — run
-        // once on carrier ranks and once on event ranks must produce the
-        // same virtual-time trace.
-        let run = |event_flavor: bool| {
-            let sim = Sim::new();
-            let stack = StorageStack::new();
-            let world = MpiWorld::new(&stack, 4, NetworkModel::default());
-            let exit_at = Arc::new(Mutex::new(Vec::new()));
-            if event_flavor {
-                let e2 = exit_at.clone();
-                world.spawn_rank_events(&sim, |comm| {
-                    let e2 = e2.clone();
-                    let mut phase = 0;
-                    let mut prog = CollectiveProgress::default();
-                    move |cx: &mut EventCx| loop {
-                        match phase {
-                            0 => {
-                                phase = 1;
-                                return EventPoll::Sleep(Duration::from_millis(comm.rank() as u64));
-                            }
-                            1 => match comm.poll_barrier(&mut prog) {
-                                CollectivePoll::Pending => {
-                                    return EventPoll::Block { deadline: None }
-                                }
-                                CollectivePoll::Charge(c) => return EventPoll::Sleep(c),
-                                CollectivePoll::Done => phase = 2,
-                            },
-                            2 => match comm.poll_allreduce_bytes(1 << 20, &mut prog) {
-                                CollectivePoll::Pending => {
-                                    return EventPoll::Block { deadline: None }
-                                }
-                                CollectivePoll::Charge(c) => return EventPoll::Sleep(c),
-                                CollectivePoll::Done => {
-                                    e2.lock().push((comm.rank(), cx.now()));
-                                    return EventPoll::Done;
-                                }
-                            },
-                            _ => unreachable!(),
-                        }
-                    }
-                });
-            } else {
-                let e2 = exit_at.clone();
-                world.spawn_ranks(&sim, move |comm| {
-                    sleep(Duration::from_millis(comm.rank() as u64));
-                    comm.barrier();
-                    comm.allreduce_bytes(1 << 20);
-                    e2.lock().push((comm.rank(), simrt::now()));
-                });
-            }
-            sim.run();
-            let mut v = exit_at.lock().clone();
-            v.sort();
-            (v, sim.now())
-        };
-        let (carrier_trace, carrier_end) = run(false);
-        let (event_trace, event_end) = run(true);
-        assert_eq!(carrier_trace, event_trace, "flavors must agree on times");
-        assert_eq!(carrier_end, event_end);
-    }
-
-    #[test]
-    fn thousand_event_ranks_barrier_without_thousand_threads() {
-        use simrt::{EventCx, EventPoll};
-        let sim = Sim::new();
-        let stack = StorageStack::new();
-        let world = MpiWorld::new(&stack, 1000, NetworkModel::default());
-        let done = Arc::new(AtomicUsize::new(0));
-        let d2 = done.clone();
-        world.spawn_rank_events(&sim, |comm| {
-            let d2 = d2.clone();
-            let mut prog = CollectiveProgress::default();
-            move |_cx: &mut EventCx| match comm.poll_barrier(&mut prog) {
-                CollectivePoll::Pending => EventPoll::Block { deadline: None },
-                CollectivePoll::Charge(c) => EventPoll::Sleep(c),
-                CollectivePoll::Done => {
-                    d2.fetch_add(1, Ordering::SeqCst);
-                    EventPoll::Done
-                }
-            }
-        });
-        sim.run();
-        assert_eq!(done.load(Ordering::SeqCst), 1000);
-        let stats = sim.stats();
-        assert_eq!(stats.event_spawns, 1000);
-        assert_eq!(
-            stats.switches, 0,
-            "a pure event-rank world never parks a carrier"
-        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod comm;
 pub mod io;
 pub mod mpiio_module;
 
-pub use collective::{FusionTopology, SumAllreduce, SumProgress};
-pub use comm::{CollectivePoll, CollectiveProgress, Comm, MpiWorld, NetworkModel};
+pub use collective::SumAllreduce;
+pub use comm::{Comm, MpiWorld, NetworkModel};
 pub use io::{DefaultMpiIo, MpiFile, MpiIoLayer};
 pub use mpiio_module::{DarshanMpiio, MpiioRecord};

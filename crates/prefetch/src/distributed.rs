@@ -52,13 +52,6 @@ pub struct DistributedConfig {
     pub base: PrefetchConfig,
     /// Virtual-time period between heat fusions (allreduce rounds).
     pub fuse_interval: Duration,
-    /// Ranks per node for the heat-fusion cost shape. `0` (default) keeps
-    /// the flat ring allreduce; a positive value switches fusion to the
-    /// NoPFS-shaped two-level hierarchy
-    /// ([`mpi_sim::FusionTopology::Hierarchical`]): fuse within each node
-    /// group, then across node leaders — `O(log n)` rounds instead of
-    /// `O(n)`, with identical fused heat and happens-before edges.
-    pub ranks_per_node: usize,
 }
 
 impl DistributedConfig {
@@ -72,25 +65,6 @@ impl DistributedConfig {
                 job_budget_bytes,
             ),
             fuse_interval: Duration::from_millis(50),
-            ranks_per_node: 0,
-        }
-    }
-
-    /// Switch heat fusion to the two-level hierarchical topology with
-    /// `ranks_per_node` members per node group.
-    pub fn hierarchical(mut self, ranks_per_node: usize) -> Self {
-        self.ranks_per_node = ranks_per_node;
-        self
-    }
-
-    /// The fusion topology this config selects.
-    pub fn fusion_topology(&self) -> mpi_sim::FusionTopology {
-        if self.ranks_per_node > 0 {
-            mpi_sim::FusionTopology::Hierarchical {
-                ranks_per_node: self.ranks_per_node,
-            }
-        } else {
-            mpi_sim::FusionTopology::Ring
         }
     }
 }
@@ -222,7 +196,7 @@ impl DistributedPrefetch {
     ) -> Arc<DistributedPrefetch> {
         let n = world.size();
         let stop = Arc::new(AtomicBool::new(false));
-        let fused = SumAllreduce::with_topology(world.net().clone(), n, config.fusion_topology());
+        let fused = SumAllreduce::new(world.net().clone(), n);
         let mut ranks = Vec::with_capacity(n);
         for rank in 0..n {
             let process = world.process(rank);
@@ -364,7 +338,8 @@ fn rank_step(
             .iter()
             .map(|(p, b)| (p.clone(), *b, fused.get(p).copied().unwrap_or(0)))
             .collect();
-        staged.sort_by_key(|(_, _, heat)| *heat); // coldest first
+        // Coldest first; ties broken by path, as for `owned` above.
+        staged.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
         for (path, _, _) in staged {
             if ledger_bytes(shared) <= low {
                 break;
@@ -563,58 +538,46 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_fusion_stages_identically_to_ring() {
-        // The NoPFS-shaped two-level topology changes only the charged
-        // cost of a fusion round — the fused heat, ownership and staging
-        // decisions are identical to the flat ring.
-        let run = |ranks_per_node: usize| {
+    fn shrunk_share_evicts_equal_heat_files_in_path_order() {
+        // Ten staged files, 100 kB in all, against a 100 kB share: the
+        // 90 kB high watermark trips and eviction frees down to the 70 kB
+        // low one — three files. The eight cold files tie on heat, so
+        // only the path tie-break decides which three go, whatever order
+        // the ledger's HashMap iterates in.
+        for _ in 0..5 {
             let stack = tiers();
-            let files: Vec<String> = (0..16)
-                .map(|i| {
-                    let p = format!("/hdd/f{i}");
-                    stack.create_synthetic(&p, 10_000, i).unwrap();
-                    p
-                })
-                .collect();
-            let sim = simrt::Sim::new();
-            let world = MpiWorld::new(&stack, 8, NetworkModel::default());
-            let mut cfg = DistributedConfig {
-                fuse_interval: Duration::from_millis(5),
-                ..DistributedConfig::new("/hdd", "/fast", 200_000)
-            };
-            if ranks_per_node > 0 {
-                cfg = cfg.hierarchical(ranks_per_node);
+            let shared = RankShared::new();
+            let mut fused = HashMap::new();
+            let names = ["hot0", "hot1"]
+                .into_iter()
+                .map(|n| (n.to_string(), 9))
+                .chain((0..8).map(|i| (format!("c{i}"), 1)));
+            for (i, (name, heat)) in names.enumerate() {
+                let path = format!("/hdd/{name}");
+                stack.create_synthetic(&path, 10_000, i as u64).unwrap();
+                fused.insert(path, heat);
             }
-            let daemon = DistributedPrefetch::spawn(&sim, &world, cfg);
-            let d2 = daemon.clone();
-            world.spawn_ranks(&sim, move |comm| {
-                let process = comm.process();
-                for (i, f) in files.iter().enumerate() {
-                    if i % comm.size() != comm.rank() {
-                        continue;
-                    }
-                    let fd = process.open(f, OpenFlags::rdonly()).unwrap();
-                    process.read(fd, 10_000, None).unwrap();
-                    process.close(fd).unwrap();
+            let process = Process::new(stack.clone());
+            let cfg = DistributedConfig::new("/hdd", "/fast", 100_000).base;
+            let sim = simrt::Sim::new();
+            let (fused2, shared2) = (fused.clone(), shared.clone());
+            sim.spawn("dprefetchd0", move || {
+                for path in fused2.keys() {
+                    let dst = fast_path(&cfg, path).unwrap();
+                    let bytes = process.stack().promote_untimed(path, &dst).unwrap();
+                    shared2.ledger.lock().insert(path.clone(), bytes);
                 }
-                simrt::sleep(Duration::from_millis(60));
-                if comm.rank() == 0 {
-                    simrt::sleep(Duration::from_millis(100));
-                    d2.stop();
-                }
+                // Stop before the promotion pass: only eviction runs.
+                let stop = AtomicBool::new(true);
+                let share = rank_step(&process, &cfg, 0, 1, &fused2, &stop, &shared2);
+                assert_eq!(share, 100_000);
             });
             sim.run();
-            let stats = daemon.job_stats();
-            let mut staged: Vec<String> =
-                stack.staged().into_iter().map(|(path, _)| path).collect();
-            staged.sort();
-            (stats.promoted_files, staged)
-        };
-        let (ring_promoted, ring_staged) = run(0);
-        let (hier_promoted, hier_staged) = run(4);
-        assert!(ring_promoted >= 8, "ring staged: {ring_promoted}");
-        assert_eq!(ring_promoted, hier_promoted, "same staging volume");
-        assert_eq!(ring_staged, hier_staged, "same staged file set");
+            assert_eq!(shared.evicted_files.load(Ordering::Relaxed), 3);
+            let mut evicted: Vec<&String> = fused.keys().filter(|p| !stack.is_staged(p)).collect();
+            evicted.sort();
+            assert_eq!(evicted, ["/hdd/c0", "/hdd/c1", "/hdd/c2"]);
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   Interleaving is by (virtual time, FIFO sequence) — fully deterministic.
 //! * [`Sim::spawn_event`] creates an *event task*: a stackless state machine
 //!   ([`EventTask`]) resumed inline by the discrete-event loop — no OS
-//!   thread, so tens of thousands of timers, samplers, and collective
-//!   waiters cost a heap entry each. Both flavors share one calendar, one
-//!   id space, and identical ordering semantics.
+//!   thread, so tens of thousands of samplers, barrier crossers and
+//!   reduction steps cost a heap entry each. Both flavors share one
+//!   calendar, one id space, and identical ordering semantics.
 //! * [`Sim::run`] drives the calendar until all simulated threads finish,
 //!   propagating panics and diagnosing virtual-time deadlocks.
 //!

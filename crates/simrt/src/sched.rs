@@ -13,8 +13,9 @@
 //! * **Event tasks** ([`Sim::spawn_event`]) are state machines resumed
 //!   inline by the discrete-event loop — no OS thread, no stack. Each
 //!   resumption is one [`EventTask::poll`] call that returns what the task
-//!   does next ([`EventPoll`]). Timers, samplers, and collective waiters
-//!   scale to tens of thousands of these for the cost of a heap entry each.
+//!   does next ([`EventPoll`]). Samplers, barrier crossers and reduction
+//!   steps scale to tens of thousands of these for the cost of a heap
+//!   entry each.
 //!
 //! **Exactly one simulated thread executes at any moment.** The scheduler
 //! is a priority-queue discrete-event core: a single dispatch loop pops
@@ -319,8 +320,8 @@ impl EventCx {
 ///   [`yield_now`], [`block`], blocking `sync` methods) — return the
 ///   matching [`EventPoll`] instead. Violations panic, poisoning the sim
 ///   with a message naming the task.
-/// * Any guard acquired during a poll (e.g. from `sync::Mutex::poll_lock`)
-///   must be dropped before the poll returns.
+/// * Any lock guard taken during a poll must be dropped before the poll
+///   returns: an event task cannot hold a lock across polls.
 /// * A panic inside `poll` finishes the task and poisons the simulation,
 ///   exactly like a carrier panic.
 pub trait EventTask: Send {

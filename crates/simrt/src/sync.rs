@@ -11,11 +11,12 @@
 //!
 //! ## Event-task wait paths
 //!
-//! Every primitive also offers a non-blocking `poll_*` method for event
-//! tasks ([`crate::Sim::spawn_event`]), which have no stack to park and
-//! must never call the blocking methods. A poll either completes the
-//! operation immediately or registers the calling task in the wait list
-//! and returns a "pending" result — the event task then returns
+//! Event tasks ([`crate::Sim::spawn_event`]) have no stack to park and
+//! must never call the blocking methods. Two primitives offer a
+//! non-blocking twin for them: [`Event::poll_wait`] (dstat's sampler) and
+//! [`Barrier::poll_wait`] (mixed-flavor barrier crossings). A poll either
+//! completes the wait immediately or registers the calling task in the
+//! wait list and returns "pending" — the event task then returns
 //! [`crate::EventPoll::Block`] from its poll and retries when resumed.
 //! Registration is idempotent (re-polling does not duplicate the entry),
 //! the same [`SyncOp`] edges are emitted as on the blocking paths, and the
@@ -33,7 +34,6 @@ use crate::sched::{
     block, current_task, emit_sync, new_sync_obj_id, on_sim_thread, set_wait_context, wake, SyncOp,
     TaskId, WakeReason,
 };
-use crate::time::SimTime;
 
 /// Build the display label of a sync object: `"chan#3"` or `"chan#3 'batches'"`.
 fn obj_label(kind: &str, id: u64, name: Option<&str>) -> Arc<str> {
@@ -51,39 +51,6 @@ fn obj_label(kind: &str, id: u64, name: Option<&str>) -> Arc<str> {
 /// channel was closed.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
-
-/// Error returned by [`Receiver::recv_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// Deadline elapsed with no message.
-    Timeout,
-    /// Channel closed and drained.
-    Closed,
-}
-
-/// Outcome of [`Receiver::poll_recv`] (the event-task wait path).
-#[derive(Debug, PartialEq, Eq)]
-pub enum PollRecv<T> {
-    /// A message was dequeued.
-    Ready(T),
-    /// Channel closed (or all senders dropped) and drained.
-    Closed,
-    /// Nothing queued; the calling task is registered as a waiter and
-    /// should block.
-    Pending,
-}
-
-/// Outcome of [`Sender::poll_send`] (the event-task wait path).
-#[derive(Debug, PartialEq, Eq)]
-pub enum PollSend<T> {
-    /// The message was enqueued.
-    Sent,
-    /// Channel closed or all receivers gone; the message is handed back.
-    Closed(T),
-    /// Channel full; the message is handed back, the calling task is
-    /// registered as a waiter and should block.
-    Full(T),
-}
 
 struct ChanState<T> {
     buf: VecDeque<T>,
@@ -246,50 +213,6 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Event-task wait path for [`Sender::send`]: try to send, registering
-    /// the calling task as a send waiter when the channel is full. On
-    /// [`PollSend::Full`] the caller gets its value back and should return
-    /// [`crate::EventPoll::Block`], re-polling when resumed.
-    pub fn poll_send(&self, v: T) -> PollSend<T> {
-        let ctx;
-        {
-            let mut st = self.inner.st.lock();
-            if st.closed || st.receivers == 0 {
-                return PollSend::Closed(v);
-            }
-            let full = st.cap.map(|c| st.buf.len() >= c).unwrap_or(false);
-            if !full {
-                st.buf.push_back(v);
-                ChanInner::wake_one_recv(&mut st);
-                emit_sync(SyncOp::Signal, self.inner.id, &self.inner.label);
-                return PollSend::Sent;
-            }
-            let me = current_task();
-            if !st.send_waiters.contains(&me) {
-                st.send_waiters.push_back(me);
-            }
-            ctx = format!("send on full {}", self.inner.label);
-        }
-        set_wait_context(ctx);
-        PollSend::Full(v)
-    }
-
-    /// Non-blocking send; returns the value back if the channel is full.
-    pub fn try_send(&self, v: T) -> Result<(), SendError<T>> {
-        let mut st = self.inner.st.lock();
-        if st.closed || st.receivers == 0 {
-            return Err(SendError(v));
-        }
-        let full = st.cap.map(|c| st.buf.len() >= c).unwrap_or(false);
-        if full {
-            return Err(SendError(v));
-        }
-        st.buf.push_back(v);
-        ChanInner::wake_one_recv(&mut st);
-        emit_sync(SyncOp::Signal, self.inner.id, &self.inner.label);
-        Ok(())
-    }
-
     /// Close the channel: receivers drain remaining messages then observe
     /// end-of-stream; further sends fail.
     pub fn close(&self) {
@@ -334,81 +257,6 @@ impl<T> Receiver<T> {
             set_wait_context(format!("recv on {}", self.inner.label));
             block(None);
         }
-    }
-
-    /// Receive with a deadline in virtual time.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = crate::sched::now() + timeout;
-        loop {
-            {
-                let mut st = self.inner.st.lock();
-                if let Some(v) = st.buf.pop_front() {
-                    ChanInner::wake_one_send(&mut st);
-                    emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                    return Ok(v);
-                }
-                if st.closed || st.senders == 0 {
-                    emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                    return Err(RecvTimeoutError::Closed);
-                }
-                if crate::sched::now() >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let me = current_task();
-                st.recv_waiters.push_back(me);
-            }
-            set_wait_context(format!("recv on {}", self.inner.label));
-            if block(Some(deadline)) == WakeReason::Timeout {
-                // Purge our (stale) registration so wake_one skips cheaply.
-                let mut st = self.inner.st.lock();
-                let me = current_task();
-                st.recv_waiters.retain(|t| *t != me);
-                if let Some(v) = st.buf.pop_front() {
-                    ChanInner::wake_one_send(&mut st);
-                    emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                    return Ok(v);
-                }
-                return Err(RecvTimeoutError::Timeout);
-            }
-        }
-    }
-
-    /// Event-task wait path for [`Receiver::recv`]: try to receive,
-    /// registering the calling task as a recv waiter when the channel is
-    /// empty but still open. On [`PollRecv::Pending`] the caller should
-    /// return [`crate::EventPoll::Block`], re-polling when resumed.
-    pub fn poll_recv(&self) -> PollRecv<T> {
-        let ctx;
-        {
-            let mut st = self.inner.st.lock();
-            if let Some(v) = st.buf.pop_front() {
-                ChanInner::wake_one_send(&mut st);
-                emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                return PollRecv::Ready(v);
-            }
-            if st.closed || st.senders == 0 {
-                emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                return PollRecv::Closed;
-            }
-            let me = current_task();
-            if !st.recv_waiters.contains(&me) {
-                st.recv_waiters.push_back(me);
-            }
-            ctx = format!("recv on {}", self.inner.label);
-        }
-        set_wait_context(ctx);
-        PollRecv::Pending
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut st = self.inner.st.lock();
-        let v = st.buf.pop_front();
-        if v.is_some() {
-            ChanInner::wake_one_send(&mut st);
-            emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-        }
-        v
     }
 
     /// Number of queued messages.
@@ -490,51 +338,6 @@ impl Semaphore {
     /// Acquire one permit.
     pub fn acquire(&self) {
         self.acquire_many(1);
-    }
-
-    /// Event-task wait path for [`Semaphore::acquire_many`]: returns true
-    /// when the permits were taken, false after registering the calling
-    /// task in the FIFO queue (the caller should block and re-poll).
-    pub fn poll_acquire_many(&self, n: usize) -> bool {
-        let ctx;
-        {
-            let mut st = self.st.lock();
-            let me = current_task();
-            let first_in_line =
-                st.waiters.front().map(|(t, _)| *t) == Some(me) || st.waiters.is_empty();
-            if first_in_line && st.permits >= n {
-                if !st.waiters.is_empty() {
-                    st.waiters.pop_front();
-                }
-                st.permits -= n;
-                Self::wake_head(&mut st);
-                emit_sync(SyncOp::Wait, self.id, &self.label);
-                return true;
-            }
-            if !st.waiters.iter().any(|(t, _)| *t == me) {
-                st.waiters.push_back((me, n));
-            }
-            ctx = format!("{} permit(s) of {}", n, self.label);
-        }
-        set_wait_context(ctx);
-        false
-    }
-
-    /// [`Semaphore::poll_acquire_many`] for one permit.
-    pub fn poll_acquire(&self) -> bool {
-        self.poll_acquire_many(1)
-    }
-
-    /// Try to acquire without blocking.
-    pub fn try_acquire(&self) -> bool {
-        let mut st = self.st.lock();
-        if st.waiters.is_empty() && st.permits >= 1 {
-            st.permits -= 1;
-            emit_sync(SyncOp::Wait, self.id, &self.label);
-            true
-        } else {
-            false
-        }
     }
 
     /// Release `n` permits.
@@ -655,7 +458,7 @@ impl Event {
     /// Event-task wait path for [`Event::wait`]: returns true if set
     /// (emitting the acquire edge), false after registering the calling
     /// task as a waiter (the caller should block — with a deadline of its
-    /// own choosing for the `wait_deadline` analogue — and re-poll).
+    /// own choosing, if it wants one — and re-poll).
     pub fn poll_wait(&self) -> bool {
         {
             let mut st = self.st.lock();
@@ -670,33 +473,6 @@ impl Event {
         }
         set_wait_context(format!("{} to be set", self.label));
         false
-    }
-
-    /// Block until set or until `deadline`. Returns true if set.
-    pub fn wait_deadline(&self, deadline: SimTime) -> bool {
-        loop {
-            {
-                let mut st = self.st.lock();
-                if st.set {
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                    return true;
-                }
-                if crate::sched::now() >= deadline {
-                    return false;
-                }
-                st.waiters.push(current_task());
-            }
-            set_wait_context(format!("{} to be set", self.label));
-            if block(Some(deadline)) == WakeReason::Timeout {
-                let mut st = self.st.lock();
-                let me = current_task();
-                st.waiters.retain(|t| *t != me);
-                if st.set {
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                }
-                return st.set;
-            }
-        }
     }
 }
 
@@ -762,27 +538,6 @@ impl Notify {
             set_wait_context(format!("a permit on {}", self.label));
             block(None);
         }
-    }
-
-    /// Event-task wait path for [`Notify::wait`]: consumes the permit and
-    /// returns true if one is pending, otherwise registers the calling task
-    /// as a waiter and returns false (the caller should block — bounded by
-    /// a deadline for the `wait_timeout` analogue — and re-poll).
-    pub fn poll_wait(&self) -> bool {
-        {
-            let mut st = self.st.lock();
-            if st.pending {
-                st.pending = false;
-                emit_sync(SyncOp::Wait, self.id, &self.label);
-                return true;
-            }
-            let me = current_task();
-            if !st.waiters.contains(&me) {
-                st.waiters.push(me);
-            }
-        }
-        set_wait_context(format!("a permit on {}", self.label));
-        false
     }
 
     /// Block until notified or until `timeout` elapses. Returns true (and
@@ -1057,70 +812,6 @@ impl<T> Mutex<T> {
             sim_owned: true,
         }
     }
-
-    /// Event-task wait path for [`Mutex::lock`]: acquire if this task is
-    /// first in line, otherwise register it in the FIFO queue and return
-    /// `None` (the caller should block and re-poll). Unlike [`try_lock`],
-    /// a queued poller keeps its place and eventually wins the lock.
-    ///
-    /// The returned guard must be dropped before the event task's poll
-    /// returns — an event task cannot hold a lock across polls.
-    ///
-    /// [`try_lock`]: Mutex::try_lock
-    pub fn poll_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let me = current_task();
-        let ctx;
-        {
-            let mut st = self.own.lock();
-            let first_in_line = st.waiters.front() == Some(&me) || st.waiters.is_empty();
-            if st.holder.is_none() && first_in_line {
-                if st.waiters.front() == Some(&me) {
-                    st.waiters.pop_front();
-                }
-                st.holder = Some(me);
-                drop(st);
-                emit_sync(SyncOp::Acquire, self.id, &self.label);
-                return Some(MutexGuard {
-                    lock: self,
-                    inner: Some(self.data.lock()),
-                    sim_owned: true,
-                });
-            }
-            if !st.waiters.contains(&me) {
-                st.waiters.push_back(me);
-            }
-            ctx = match st.holder {
-                Some(h) => format!("{} held by {}", self.label, h),
-                None => format!("{} (queued)", self.label),
-            };
-        }
-        set_wait_context(ctx);
-        None
-    }
-
-    /// Try to acquire without blocking. Returns `None` if held or if blocked
-    /// waiters are queued (they have priority).
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        if !on_sim_thread() {
-            return self.data.try_lock().map(|g| MutexGuard {
-                lock: self,
-                inner: Some(g),
-                sim_owned: false,
-            });
-        }
-        let mut st = self.own.lock();
-        if st.holder.is_some() || !st.waiters.is_empty() {
-            return None;
-        }
-        st.holder = Some(current_task());
-        drop(st);
-        emit_sync(SyncOp::Acquire, self.id, &self.label);
-        Some(MutexGuard {
-            lock: self,
-            inner: Some(self.data.lock()),
-            sim_owned: true,
-        })
-    }
 }
 
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
@@ -1203,29 +894,6 @@ impl Condvar {
         lock.lock() // emits the mutex Acquire
     }
 
-    /// Event-task wait path for [`Condvar::wait`]. Because an event task
-    /// cannot hold a guard across polls, the protocol is split: while
-    /// holding the guard, call `register_waiter`, then drop the guard,
-    /// return [`crate::EventPoll::Block`], and on resumption call
-    /// [`Condvar::ack_wait`] before re-polling the mutex and re-checking
-    /// the predicate. Registration is idempotent across re-polls.
-    pub fn register_waiter(&self) {
-        {
-            let mut w = self.waiters.lock();
-            let me = current_task();
-            if !w.contains(&me) {
-                w.push(me);
-            }
-        }
-        set_wait_context(format!("{} (event-task wait)", self.label));
-    }
-
-    /// Record the acquire edge of a completed event-task wait (the
-    /// counterpart of the edge [`Condvar::wait`] emits when it resumes).
-    pub fn ack_wait(&self) {
-        emit_sync(SyncOp::Wait, self.id, &self.label);
-    }
-
     /// Wake one waiter.
     pub fn notify_one(&self) {
         let mut w = self.waiters.lock();
@@ -1251,6 +919,7 @@ impl Condvar {
 mod tests {
     use super::*;
     use crate::sched::{now, sleep, Sim};
+    use crate::time::SimTime;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -1318,20 +987,6 @@ mod tests {
             tx.close();
             assert_eq!(tx.send(9), Err(SendError(9)));
             assert_eq!(rx.recv(), None);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn recv_timeout_times_out_in_virtual_time() {
-        let sim = Sim::new();
-        let (tx, rx) = channel::<u8>(None);
-        sim.spawn("t", move || {
-            let t0 = now();
-            let r = rx.recv_timeout(Duration::from_millis(5));
-            assert_eq!(r, Err(RecvTimeoutError::Timeout));
-            assert_eq!(now() - t0, Duration::from_millis(5));
-            drop(tx); // keep sender alive until after the timeout
         });
         sim.run();
     }
@@ -1413,18 +1068,6 @@ mod tests {
     }
 
     #[test]
-    fn event_wait_deadline() {
-        let sim = Sim::new();
-        let ev = Arc::new(Event::new());
-        sim.spawn("t", move || {
-            let hit = ev.wait_deadline(now() + Duration::from_millis(2));
-            assert!(!hit);
-            assert_eq!(now(), SimTime::from_nanos(2_000_000));
-        });
-        sim.run();
-    }
-
-    #[test]
     fn barrier_synchronizes_and_elects_leader() {
         let sim = Sim::new();
         let bar = Arc::new(Barrier::new(3));
@@ -1442,19 +1085,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(leaders.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn try_send_and_try_recv() {
-        let sim = Sim::new();
-        let (tx, rx) = channel::<u8>(Some(1));
-        sim.spawn("t", move || {
-            assert!(tx.try_send(1).is_ok());
-            assert_eq!(tx.try_send(2), Err(SendError(2)));
-            assert_eq!(rx.try_recv(), Some(1));
-            assert_eq!(rx.try_recv(), None);
-        });
-        sim.run();
     }
 
     #[test]
@@ -1507,23 +1137,29 @@ mod tests {
     }
 
     #[test]
-    fn mutex_try_lock_and_host_side_access() {
+    fn mutex_host_side_lock_bypasses_ownership() {
+        // Outside `Sim::run`, `lock()` is a plain lock: no holder is
+        // recorded, so the simulated threads never queue behind it.
         let m = Mutex::new(1u32);
         {
-            let g = m.try_lock().expect("host try_lock on free mutex");
-            assert_eq!(*g, 1);
+            let mut g = m.lock();
+            assert!(!g.sim_owned);
+            assert!(m.own.lock().holder.is_none());
+            *g += 1;
         }
         let sim = Sim::new();
         let m = Arc::new(m);
         let m2 = m.clone();
         sim.spawn("t", move || {
-            let g = m2.lock();
-            assert!(m2.try_lock().is_none(), "held: try_lock fails");
+            let mut g = m2.lock();
+            assert!(g.sim_owned);
+            assert!(m2.own.lock().holder.is_some(), "held by the sim thread");
+            *g += 1;
             drop(g);
-            assert!(m2.try_lock().is_some());
+            assert!(m2.own.lock().holder.is_none(), "released on drop");
         });
         sim.run();
-        assert_eq!(*m.lock(), 1);
+        assert_eq!(*m.lock(), 3);
     }
 
     #[test]
@@ -1571,92 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn event_consumer_drains_channel_via_poll_recv() {
-        use crate::sched::{EventCx, EventPoll};
-        let sim = Sim::new();
-        let (tx, rx) = channel::<u32>(None);
-        sim.spawn("producer", move || {
-            for i in 0..10 {
-                sleep(Duration::from_micros(5));
-                tx.send(i).unwrap();
-            }
-        });
-        let got = Arc::new(PlMutex::new(Vec::new()));
-        let got2 = got.clone();
-        sim.spawn_event("consumer", move |_cx: &mut EventCx| loop {
-            match rx.poll_recv() {
-                PollRecv::Ready(v) => got2.lock().push(v),
-                PollRecv::Closed => return EventPoll::Done,
-                PollRecv::Pending => return EventPoll::Block { deadline: None },
-            }
-        });
-        sim.run();
-        assert_eq!(*got.lock(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn event_producer_feels_backpressure_via_poll_send() {
-        use crate::sched::{EventCx, EventPoll};
-        let sim = Sim::new();
-        let (tx, rx) = channel::<u64>(Some(2));
-        let mut next = 0u64;
-        let mut pending: Option<u64> = None;
-        sim.spawn_event("producer", move |_cx: &mut EventCx| loop {
-            let v = pending.take().unwrap_or(next);
-            if v >= 5 {
-                tx.close();
-                return EventPoll::Done;
-            }
-            match tx.poll_send(v) {
-                PollSend::Sent => next = v + 1,
-                PollSend::Full(v) => {
-                    pending = Some(v);
-                    return EventPoll::Block { deadline: None };
-                }
-                PollSend::Closed(_) => panic!("receiver alive"),
-            }
-        });
-        let got = Arc::new(PlMutex::new(Vec::new()));
-        let got2 = got.clone();
-        sim.spawn("consumer", move || {
-            while let Some(v) = rx.recv() {
-                sleep(Duration::from_micros(1));
-                got2.lock().push(v);
-            }
-        });
-        sim.run();
-        assert_eq!(*got.lock(), (0..5).collect::<Vec<_>>());
-        // 5 sends through a depth-2 buffer against a 1 µs/item consumer:
-        // the producer was genuinely throttled, not buffered away.
-        assert!(sim.now() >= SimTime::from_nanos(5_000));
-    }
-
-    #[test]
-    fn event_tasks_share_semaphore_via_poll_acquire() {
-        use crate::sched::{EventCx, EventPoll};
-        let sim = Sim::new();
-        let sem = Arc::new(Semaphore::new(2));
-        for i in 0..4 {
-            let sem = sem.clone();
-            let mut holding = false;
-            sim.spawn_event(format!("w{i}"), move |_cx: &mut EventCx| {
-                if !holding {
-                    if !sem.poll_acquire() {
-                        return EventPoll::Block { deadline: None };
-                    }
-                    holding = true;
-                    return EventPoll::Sleep(Duration::from_millis(1)); // "work"
-                }
-                sem.release();
-                EventPoll::Done
-            });
-        }
-        sim.run();
-        // 4 jobs, 2 permits, 1 ms each → 2 ms makespan.
-        assert_eq!(sim.now(), SimTime::from_nanos(2_000_000));
-    }
-
-    #[test]
     fn barrier_crossing_mixes_carriers_and_event_tasks() {
         use crate::sched::{EventCx, EventPoll};
         let sim = Sim::new();
@@ -1698,109 +1248,6 @@ mod tests {
         assert_eq!(leaders.load(Ordering::SeqCst), 1);
         // Everyone is released at the last arrival (t = 3 ms).
         assert_eq!(*released_at.lock(), vec![3_000_000; 4]);
-    }
-
-    #[test]
-    fn event_tasks_take_fifo_turns_on_poll_lock() {
-        use crate::sched::{EventCx, EventPoll};
-        let sim = Sim::new();
-        let m = Arc::new(Mutex::named(0u64, Some("shared")));
-        // One carrier and two event tasks each add 5 under the lock; the
-        // event tasks must queue FIFO behind the carrier's critical section.
-        {
-            let m = m.clone();
-            sim.spawn("carrier", move || {
-                for _ in 0..5 {
-                    let mut g = m.lock();
-                    *g += 1;
-                    sleep(Duration::from_micros(10));
-                    drop(g);
-                    sleep(Duration::from_micros(1));
-                }
-            });
-        }
-        for i in 0..2 {
-            let m = m.clone();
-            let mut left = 5;
-            sim.spawn_event(format!("e{i}"), move |_cx: &mut EventCx| {
-                if left == 0 {
-                    return EventPoll::Done;
-                }
-                match m.poll_lock() {
-                    Some(mut g) => {
-                        *g += 1;
-                        left -= 1;
-                        drop(g);
-                        EventPoll::Yield
-                    }
-                    None => EventPoll::Block { deadline: None },
-                }
-            });
-        }
-        sim.run();
-        assert_eq!(*m.lock(), 15);
-    }
-
-    #[test]
-    fn notify_drives_event_daemon_rounds() {
-        use crate::sched::{EventCx, EventPoll};
-        let sim = Sim::new();
-        let n = Arc::new(Notify::new());
-        let rounds = Arc::new(AtomicUsize::new(0));
-        let (n2, r2) = (n.clone(), rounds.clone());
-        sim.spawn_event("daemon", move |_cx: &mut EventCx| {
-            while n2.poll_wait() {
-                if r2.fetch_add(1, Ordering::SeqCst) + 1 == 3 {
-                    return EventPoll::Done;
-                }
-            }
-            EventPoll::Block { deadline: None }
-        });
-        sim.spawn("poker", move || {
-            for _ in 0..3 {
-                sleep(Duration::from_millis(1));
-                n.notify_one();
-            }
-        });
-        sim.run();
-        assert_eq!(rounds.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn condvar_event_waiter_sees_predicate() {
-        use crate::sched::{EventCx, EventPoll};
-        let sim = Sim::new();
-        let m = Arc::new(Mutex::new(false));
-        let cv = Arc::new(Condvar::named(Some("ready")));
-        let (m2, cv2) = (m.clone(), cv.clone());
-        let seen_at = Arc::new(AtomicUsize::new(0));
-        let seen = seen_at.clone();
-        let mut waited = false;
-        sim.spawn_event("waiter", move |_cx: &mut EventCx| {
-            if waited {
-                cv2.ack_wait();
-            }
-            match m2.poll_lock() {
-                None => EventPoll::Block { deadline: None },
-                Some(g) => {
-                    if *g {
-                        seen.store(now().as_nanos() as usize, Ordering::SeqCst);
-                        return EventPoll::Done;
-                    }
-                    cv2.register_waiter();
-                    waited = true;
-                    drop(g);
-                    EventPoll::Block { deadline: None }
-                }
-            }
-        });
-        sim.spawn("setter", move || {
-            sleep(Duration::from_millis(3));
-            *m.lock() = true;
-            cv.notify_one();
-        });
-        sim.run();
-        assert_eq!(seen_at.load(Ordering::SeqCst), 3_000_000);
     }
 
     #[test]
