@@ -6,7 +6,6 @@
 //! POSIX implementation, not through the GOT, mirroring glibc internals:
 //! interposing `read` does not see `fread` traffic.
 
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,23 +17,22 @@ use crate::errno::{Errno, PosixResult};
 use crate::process::{Fd, FdEntry, MapEntry, MapId, OpenFlags, Process, StreamId, Whence};
 use crate::symtab::{LibcIo, LibcStdio};
 
-thread_local! {
-    /// Depth of stdio-internal descriptor I/O on this carrier thread.
-    /// Non-zero while `DefaultStdio` performs its own buffer refills,
-    /// spills and stream open/close against the POSIX layer.
-    static STDIO_DEPTH: Cell<u32> = const { Cell::new(0) };
-    /// Depth of staging-daemon I/O on this carrier thread (see
-    /// [`PrefetchOrigin`]).
-    static PREFETCH_DEPTH: Cell<u32> = const { Cell::new(0) };
-}
+// Origin depths live in the running task's simrt task word, so they follow
+// their carrier across switches (carriers share one OS thread): the low
+// half counts stdio-internal descriptor I/O (`DefaultStdio`'s own buffer
+// refills, spills and stream open/close), the high half staging-daemon
+// I/O (see [`PrefetchOrigin`]).
+const STDIO_DEPTH: u64 = 1;
+const PREFETCH_DEPTH: u64 = 1 << 32;
 
-/// Origin tag for events emitted on the current thread right now.
+/// Origin tag for events emitted by the running task right now.
 /// Prefetch outranks stdio-internal: a daemon that copies through `fread`
 /// is still daemon traffic.
 pub(crate) fn current_origin() -> Origin {
-    if PREFETCH_DEPTH.with(|d| d.get()) > 0 {
+    let word = simrt::task_word();
+    if word >= PREFETCH_DEPTH {
         Origin::Prefetch
-    } else if STDIO_DEPTH.with(|d| d.get()) > 0 {
+    } else if word > 0 {
         Origin::StdioInternal
     } else {
         Origin::App
@@ -47,14 +45,14 @@ struct StdioInternal;
 
 impl StdioInternal {
     fn enter() -> Self {
-        STDIO_DEPTH.with(|d| d.set(d.get() + 1));
+        simrt::set_task_word(simrt::task_word() + STDIO_DEPTH);
         StdioInternal
     }
 }
 
 impl Drop for StdioInternal {
     fn drop(&mut self) {
-        STDIO_DEPTH.with(|d| d.set(d.get() - 1));
+        simrt::set_task_word(simrt::task_word() - STDIO_DEPTH);
     }
 }
 
@@ -69,14 +67,14 @@ pub struct PrefetchOrigin;
 impl PrefetchOrigin {
     /// Tag all I/O on the current simulated thread until the guard drops.
     pub fn enter() -> Self {
-        PREFETCH_DEPTH.with(|d| d.set(d.get() + 1));
+        simrt::set_task_word(simrt::task_word() + PREFETCH_DEPTH);
         PrefetchOrigin
     }
 }
 
 impl Drop for PrefetchOrigin {
     fn drop(&mut self) {
-        PREFETCH_DEPTH.with(|d| d.set(d.get() - 1));
+        simrt::set_task_word(simrt::task_word() - PREFETCH_DEPTH);
     }
 }
 

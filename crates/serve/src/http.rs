@@ -123,6 +123,7 @@ pub fn percent_decode(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn percent_decoding_handles_escapes_and_passthrough() {
@@ -167,6 +168,70 @@ mod tests {
         write!(client, "GET / HTTP/1.0\r\nX-Pad: {pad}\r\n\r\n").unwrap();
         let req = read_request(&mut s).expect("parses");
         assert_eq!(req.path, "/");
+    }
+
+    /// Send `bytes` to `read_request` over loopback and return its result
+    /// and how many of the bytes it took off the socket.
+    fn read_over_loopback(bytes: &[u8]) -> (Option<Request>, usize) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut s, _) = listener.accept().unwrap();
+        let sent = bytes.to_vec();
+        let writer = std::thread::spawn(move || {
+            // The server may stop reading early; a reset is not a failure.
+            let _ = client.write_all(&sent);
+            let _ = client.shutdown(std::net::Shutdown::Write);
+        });
+        let req = read_request(&mut s);
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest).unwrap();
+        writer.join().expect("writer thread");
+        (req, bytes.len() - rest.len())
+    }
+
+    /// What one `BufReader` fill adds to the bytes taken off the socket.
+    const ONE_FILL: usize = 8 * 1024;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_or_overread(
+            bytes in prop::collection::vec(any::<u8>(), 0..40_000)
+        ) {
+            let (_, taken) = read_over_loopback(&bytes);
+            prop_assert!(taken <= MAX_HEAD + ONE_FILL, "took {taken} bytes");
+        }
+
+        #[test]
+        fn heads_without_newlines_are_refused_within_the_bound(
+            bytes in prop::collection::vec(
+                any::<u8>().prop_map(|b| if b == b'\n' { b'a' } else { b }),
+                0..40_000,
+            )
+        ) {
+            let (req, taken) = read_over_loopback(&bytes);
+            prop_assert!(taken <= MAX_HEAD + ONE_FILL, "took {taken} bytes");
+            if bytes.len() >= MAX_HEAD {
+                prop_assert_eq!(req, None);
+            }
+        }
+
+        #[test]
+        fn heads_with_arbitrary_header_lines_never_panic_or_overread(
+            lines in prop::collection::vec(
+                prop::collection::vec(any::<u8>(), 0..3_000),
+                0..12,
+            )
+        ) {
+            let mut bytes = b"GET /metrics HTTP/1.0\r\n".to_vec();
+            for l in &lines {
+                bytes.extend_from_slice(l);
+                bytes.extend_from_slice(b"\r\n");
+            }
+            let (_, taken) = read_over_loopback(&bytes);
+            prop_assert!(taken <= MAX_HEAD + ONE_FILL, "took {taken} bytes");
+        }
     }
 
     #[test]

@@ -46,18 +46,20 @@
 //! assert_eq!(sim.now().as_nanos(), 8_000_000);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pool;
+#[allow(unsafe_code)]
+mod coro;
 mod sched;
 pub mod sync;
 mod time;
 
 pub use sched::{
     block, current_task, current_task_name, emit_sync, new_sync_obj_id, now, on_sim_thread,
-    set_context_switch_hook, set_wait_context, sleep, sleep_until, try_now, wake, yield_now,
-    Candidate, DecisionPoint, EventCx, EventHandle, EventPoll, EventTask, JoinHandle, SchedStats,
-    SchedulePolicy, Sim, SyncEvent, SyncObserver, SyncOp, TaskId, WakeReason,
+    set_context_switch_hook, set_task_word, set_wait_context, sleep, sleep_until, task_word,
+    try_now, wake, yield_now, Candidate, DecisionPoint, EventCx, EventHandle, EventPoll, EventTask,
+    JoinHandle, SchedStats, SchedulePolicy, Sim, SyncEvent, SyncObserver, SyncOp, TaskId,
+    WakeReason,
 };
 pub use time::{dur, SimTime};

@@ -5,8 +5,8 @@
 //! A [`Sim`] hosts any number of *simulated threads* in two flavors behind
 //! one calendar:
 //!
-//! * **Carrier tasks** ([`Sim::spawn`]) are carried by a real OS thread,
-//!   taken from a process-wide pool.
+//! * **Carrier tasks** ([`Sim::spawn`]) are stackful coroutines (see
+//!   [`crate::coro`]), all run on the OS thread that calls [`Sim::run`].
 //!   User code reads like ordinary blocking code (plain POSIX-shaped calls
 //!   on a real stack), which is what the GOT-patched instrumentation
 //!   wrappers need.
@@ -20,12 +20,12 @@
 //! **Exactly one simulated thread executes at any moment.** The scheduler
 //! is a priority-queue discrete-event core: a single dispatch loop pops
 //! `(wake_time, seq)` from the run calendar, advances the clock, and runs
-//! the task — resuming a carrier by waking its parked OS thread, or
-//! polling an event task right there on whichever OS thread is inside the
-//! scheduler (a blocking carrier, or the host in [`Sim::run`]). Equal wake
-//! times run in FIFO spawn/push order, which makes the whole simulation
-//! deterministic: same program, same schedule, same virtual timestamps, on
-//! every run, regardless of the carrier/event mix.
+//! the task — switching to a carrier's stack until it switches back, or
+//! polling an event task right there in the loop, both on the thread in
+//! [`Sim::run`]. Equal wake times run in FIFO spawn/push order, which
+//! makes the whole simulation deterministic: same program, same schedule,
+//! same virtual timestamps, on every run, regardless of the carrier/event
+//! mix.
 //!
 //! The one-runnable-at-a-time invariant also means synchronization
 //! primitives built on the scheduler need no atomicity tricks: between a
@@ -38,10 +38,10 @@
 //! tf-Darshan instruments *synchronous* POSIX calls made from a thread pool;
 //! the instrumentation, the GOT patching, and the Darshan wrappers must look
 //! like their real counterparts (plain function calls on a thread's stack).
-//! Thread carriers preserve that shape exactly — and the event-task flavor
-//! exists precisely for the code that does *not* need it (pure coordination:
-//! timers, tickers, barrier waiters), so scale experiments are not capped by
-//! OS thread counts.
+//! Stackful carriers preserve that shape exactly — and the event-task flavor
+//! exists precisely for the code that does *not* need a stack (pure
+//! coordination: timers, tickers, barrier waiters), so scale experiments
+//! are not capped by stack memory.
 
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -51,9 +51,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard as PlMutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard as PlMutexGuard, RwLock};
 
-use crate::pool::{self, Lease};
+use crate::coro::{self, Coroutine};
 use crate::time::SimTime;
 
 /// Process-wide hook fired just before control *genuinely* hands over
@@ -130,10 +130,9 @@ pub struct SyncEvent {
     pub label: Arc<str>,
 }
 
-/// A consumer of [`SyncEvent`]s. Registered per-[`Sim`]; called on the
-/// carrier thread of the task performing the operation (or the thread
-/// currently polling an event task), which may hold primitive-internal
-/// locks — the observer must not sleep, block, yield, or touch scheduler
+/// A consumer of [`SyncEvent`]s. Registered per-[`Sim`]; called while the
+/// task performing the operation runs (a carrier, or an event task
+/// mid-poll), which may hold primitive-internal locks — the observer must not sleep, block, yield, or touch scheduler
 /// state (reading the event's fields is always safe).
 pub trait SyncObserver: Send + Sync {
     /// Observe one synchronization event.
@@ -343,7 +342,7 @@ where
 /// Which execution flavor a task uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Flavor {
-    /// Pooled OS thread, parked on its own condvar between dispatches.
+    /// Stackful coroutine, switched to by the run loop.
     Carrier,
     /// Stackless state machine, polled inline by the dispatch loop.
     Event,
@@ -353,7 +352,7 @@ enum Flavor {
 enum TaskState {
     /// Has a valid entry in the run heap.
     Ready,
-    /// Currently executing (on its carrier thread, or mid-poll).
+    /// Currently executing (on its carrier stack, or mid-poll).
     Running,
     /// Waiting for a wake; `timed` blocks also hold a heap entry for their
     /// deadline.
@@ -385,11 +384,14 @@ struct TaskInfo {
     /// The state machine of an event task, parked here between polls.
     /// Taken out (so the scheduler lock can be released) while polling.
     machine: Option<Box<dyn EventTask>>,
-    /// A carrier's own park, waited on with the state lock until the
-    /// calendar dispatches it; a handover notifies exactly this one. `None`
-    /// for event tasks and once the carrier has finished.
-    park: Option<Arc<Condvar>>,
+    /// A carrier's body until its first dispatch, when the run loop puts
+    /// it on a coroutine. `None` for event tasks.
+    body: Option<CarrierBody>,
 }
+
+/// What a carrier runs: the spawned closure wrapped with its finish
+/// bookkeeping.
+type CarrierBody = Box<dyn FnOnce() + Send>;
 
 /// An entry in the run calendar. Ordered by (wake time, sequence) so that
 /// equal-time wakes run in FIFO order — the tie-break that makes the whole
@@ -420,7 +422,7 @@ impl PartialOrd for Entry {
 /// scale experiments can see scheduler cost next to I/O counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Carrier context switches (parked-thread handovers).
+    /// Carrier dispatches: each is a switch onto a carrier's stack.
     pub switches: u64,
     /// Fast-path time advances (sleeps that kept the carrier).
     pub fast_advances: u64,
@@ -472,8 +474,9 @@ struct SchedState {
 
 /// What `dispatch_next` produced.
 enum Dispatch {
-    /// A carrier was marked running; its parked thread must be notified.
-    Carrier,
+    /// A carrier was marked running; the run loop must switch to it. Its
+    /// body comes along on the first dispatch.
+    Carrier(TaskId, Option<CarrierBody>),
     /// An event task was marked running; the caller must poll its machine.
     Event(Box<dyn EventTask>),
     /// Nothing runnable.
@@ -482,8 +485,6 @@ enum Dispatch {
 
 pub(crate) struct SimInner {
     state: Mutex<SchedState>,
-    /// Where the host in [`Sim::run`] waits for the scheduler to go idle.
-    host: Condvar,
     /// Observer for synchronization events ([`Sim::set_sync_observer`]).
     sync_observer: RwLock<Option<Arc<dyn SyncObserver>>>,
     /// Cheap pre-check so [`emit_sync`] costs one relaxed load when no
@@ -497,8 +498,7 @@ pub(crate) struct SimInner {
     /// Mirror of `state.now` in nanoseconds, refreshed at every point the
     /// clock advances (dispatch, sleep fast path). Lets [`now`]/[`try_now`]
     /// on the running simulated thread read the clock without taking the
-    /// scheduler lock: the store always happens-before the running task's
-    /// reads (the dispatch handshake goes through the state mutex/condvar),
+    /// scheduler lock: the running task is on the thread that stored it,
     /// and nothing can advance the clock while that task runs.
     clock: AtomicU64,
 }
@@ -610,7 +610,7 @@ impl SimInner {
             match info.flavor {
                 Flavor::Carrier => {
                     st.stats.switches += 1;
-                    return Dispatch::Carrier;
+                    return Dispatch::Carrier(e.tid, info.body.take());
                 }
                 Flavor::Event => {
                     st.stats.event_polls += 1;
@@ -715,42 +715,6 @@ impl SimInner {
         }
     }
 
-    /// Wake exactly the threads that must act on the state just published:
-    /// the dispatched carrier's park, or — with the scheduler idle — the
-    /// host in [`Sim::run`]. A poisoned sim wakes every park as well, so
-    /// carriers parked anywhere unwind and exit.
-    fn handover(&self, st: &SchedState) {
-        if st.poison.is_some() {
-            for park in st.tasks.values().filter_map(|i| i.park.as_ref()) {
-                park.notify_one();
-            }
-            self.host.notify_one();
-        } else if let Some(tid) = st.running {
-            if let Some(park) = st.tasks.get(&tid).and_then(|i| i.park.as_ref()) {
-                park.notify_one();
-            }
-        } else {
-            self.host.notify_one();
-        }
-    }
-
-    /// Park the calling carrier `tid` until the calendar dispatches it or
-    /// the sim is poisoned. Only `tid`'s own park is waited on, so no other
-    /// handover wakes this thread.
-    fn wait_turn(st: &mut PlMutexGuard<'_, SchedState>, tid: TaskId) {
-        if st.running == Some(tid) || st.poison.is_some() {
-            return;
-        }
-        let park = st
-            .tasks
-            .get(&tid)
-            .and_then(|i| i.park.clone())
-            .expect("a waiting carrier has a park");
-        while st.running != Some(tid) && st.poison.is_none() {
-            park.wait(st);
-        }
-    }
-
     fn poison_check(st: &SchedState) {
         if let Some(msg) = &st.poison {
             panic!("simulation poisoned: {msg}");
@@ -759,31 +723,28 @@ impl SimInner {
 }
 
 /// The discrete-event dispatch loop. Pops the calendar and runs what comes
-/// out: event tasks are polled inline on the calling OS thread (scheduler
-/// lock released for the poll, [`run_switch_hook`] fired after each — a
-/// poll boundary is a genuine handover); the loop returns `true` as soon as
-/// a carrier is dispatched (the caller wakes its park) and
-/// `false` when nothing is runnable (the caller runs the deadlock check).
-///
-/// Every handover point pumps: blocking carriers, finishing tasks, and the
-/// host in [`Sim::run`]. That is what lets a 10k-event-task workload run on
-/// a constant-size pool of OS threads — whichever thread is in the
-/// scheduler drains the event queue as part of handing over.
-fn pump(inner: &Arc<SimInner>, st: &mut PlMutexGuard<'_, SchedState>) -> bool {
+/// out: event tasks are polled inline (scheduler lock released for the
+/// poll, [`run_switch_hook`] fired after each — a poll boundary is a
+/// genuine handover) until a carrier is dispatched, which is returned for
+/// the caller to switch to. `None` means nothing is runnable (or the sim
+/// is poisoned); the caller runs the deadlock check.
+fn pump(
+    inner: &Arc<SimInner>,
+    st: &mut PlMutexGuard<'_, SchedState>,
+) -> Option<(TaskId, Option<CarrierBody>)> {
     loop {
         if st.poison.is_some() {
-            return false;
+            return None;
         }
         let dispatched = SimInner::dispatch_next(inner, st);
         if !matches!(dispatched, Dispatch::Idle) {
-            // Publish the (possibly advanced) clock before the dispatched
-            // task can observe it; the mutex/condvar handshake orders the
-            // store ahead of the task's relaxed reads.
+            // Publish the (possibly advanced) clock for the dispatched
+            // task's lock-free reads.
             inner.clock.store(st.now.as_nanos(), Ordering::Relaxed);
         }
         let mut machine = match dispatched {
-            Dispatch::Carrier => return true,
-            Dispatch::Idle => return false,
+            Dispatch::Carrier(tid, body) => return Some((tid, body)),
+            Dispatch::Idle => return None,
             Dispatch::Event(m) => m,
         };
         let tid = st.running.expect("event task is running");
@@ -794,8 +755,7 @@ fn pump(inner: &Arc<SimInner>, st: &mut PlMutexGuard<'_, SchedState>) -> bool {
         let outcome = st.unlocked(|| {
             // Run the machine as the current simulated task so emit_sync /
             // wake / spawn / set_wait_context attribute to it, then restore
-            // the pumping thread's own identity (a carrier mid-block, or
-            // the host in `Sim::run`).
+            // the run loop's own identity.
             let prev = CURRENT.with(|c| c.borrow_mut().replace((inner.clone(), tid)));
             let mut cx = EventCx {
                 sim: Sim {
@@ -812,20 +772,19 @@ fn pump(inner: &Arc<SimInner>, st: &mut PlMutexGuard<'_, SchedState>) -> bool {
                 emit_sync(SyncOp::Finish, tid.0, &label);
             }
             // Event-task resumption boundary: a genuine handover, so the
-            // instrumentation backplane flushes this thread's buffers at a
+            // instrumentation backplane flushes its buffers at a
             // deterministic point.
             run_switch_hook();
             CURRENT.with(|c| *c.borrow_mut() = prev);
             r
         });
         // Relocked. No other task ran meanwhile: `running` stayed on this
-        // event task, so carriers kept waiting and wake() could not touch it.
+        // event task, so wake() could not touch it.
         st.running = None;
         match outcome {
             Err(e) => {
                 finish_common(st, tid, Some(panic_message(&e)));
-                // Poison is set; the loop head returns false and callers
-                // propagate through poison_check.
+                // Poison is set; the loop head returns None.
             }
             Ok(EventPoll::Done) => {
                 finish_common(st, tid, None);
@@ -879,8 +838,31 @@ impl Default for Sim {
 }
 
 thread_local! {
+    /// The running simulated task. The run loop sets it on every resume
+    /// of a carrier (and around every event poll) and restores its own
+    /// value after.
     static CURRENT: std::cell::RefCell<Option<(Arc<SimInner>, TaskId)>> =
         const { std::cell::RefCell::new(None) };
+    /// The running carrier's [`task_word`], swapped in and out by the run
+    /// loop with the carrier.
+    static TASK_WORD: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The calling carrier's task word: one `u64` of per-task state for the
+/// layers above the scheduler, 0 when the carrier starts. It follows the
+/// carrier across switches — carriers share the run loop's OS thread, so
+/// an OS thread-local would leak one carrier's state into the next. Off a
+/// carrier (the host, an event task's poll) this is the word of the code
+/// driving the run loop.
+#[inline]
+pub fn task_word() -> u64 {
+    TASK_WORD.with(std::cell::Cell::get)
+}
+
+/// Replace the calling carrier's [`task_word`].
+#[inline]
+pub fn set_task_word(word: u64) {
+    TASK_WORD.with(|w| w.set(word));
 }
 
 /// Access the calling simulated thread's context, or panic if the caller is
@@ -913,13 +895,13 @@ fn with_current_borrowed<R>(f: impl FnOnce(&Arc<SimInner>, TaskId) -> R) -> R {
     })
 }
 
-/// True if the calling OS thread carries a simulated thread (or is mid-poll
-/// of an event task).
+/// True when called from a simulated thread (a carrier, or an event task
+/// mid-poll).
 pub fn on_sim_thread() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// True if the calling OS thread carries a simulated thread of *this* sim.
+/// True when called from a simulated thread of *this* sim.
 fn current_matches(inner: &Arc<SimInner>) -> bool {
     CURRENT.with(|c| {
         c.borrow()
@@ -961,7 +943,6 @@ impl Sim {
                     poison: None,
                     stats: SchedStats::default(),
                 }),
-                host: Condvar::new(),
                 sync_observer: RwLock::new(None),
                 sync_active: AtomicBool::new(false),
                 schedule_policy: RwLock::new(None),
@@ -1000,26 +981,43 @@ impl Sim {
         *self.inner.schedule_policy.write() = None;
     }
 
-    /// Spawn a carrier task: a simulated thread carried by a real OS thread,
-    /// for code that must look like blocking POSIX. It becomes runnable at
-    /// the current virtual time but does not execute until [`Sim::run`]
-    /// dispatches it (or, when called from a running simulated thread, until
-    /// the spawner blocks).
+    /// Spawn a carrier task: a simulated thread on a stack of its own, for
+    /// code that must look like blocking POSIX. It becomes runnable at the
+    /// current virtual time but does not execute until [`Sim::run`]
+    /// dispatches it (or, when called from a running simulated thread,
+    /// until the spawner blocks).
     ///
-    /// The OS thread is the idle thread of a process-wide pool with the
-    /// lowest index, so a simulation that spawns its carriers in the same
-    /// order runs each of them on the same thread every time.
+    /// Spawning only records the closure. The run loop gives the carrier a
+    /// pooled stack on its first dispatch and runs it as a coroutine on
+    /// the thread that called [`Sim::run`]; no OS thread is created.
     ///
     /// For pure coordination work (timers, tickers, collective waiters) use
-    /// [`Sim::spawn_event`]: same calendar, same determinism, no OS thread.
+    /// [`Sim::spawn_event`]: same calendar, same determinism, no stack.
     pub fn spawn<T, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let name = name.into();
-        let inner = self.inner.clone();
-        let park = Arc::new(Condvar::new());
+        let task_label: Arc<str> = Arc::from(name.as_str());
+        let done: Arc<Completion<T>> = Arc::new(Mutex::new(None));
+        let completion = done.clone();
+        let finish_label = task_label.clone();
+        let body: CarrierBody = Box::new(move || {
+            let r = catch_unwind(AssertUnwindSafe(f));
+            let tid = current_task();
+            // The task's clock is final after this point; joiners
+            // inherit it through the Join edge.
+            emit_sync(SyncOp::Finish, tid.0, &finish_label);
+            // Final deterministic flush point for this task's
+            // instrumentation buffers (also after a panic, so events
+            // emitted before the unwind are not lost).
+            run_switch_hook();
+            let panic_msg = r.as_ref().err().map(panic_message);
+            // Publish the result before any joiner is woken.
+            *completion.lock() = Some(r);
+            with_current(|inner, tid| finish_task(inner, tid, panic_msg));
+        });
         let tid = {
             let mut st = self.inner.state.lock();
             let tid = TaskId(st.next_tid);
@@ -1032,7 +1030,7 @@ impl Sim {
             st.tasks.insert(
                 tid,
                 TaskInfo {
-                    name: name.clone(),
+                    name,
                     state: TaskState::Ready,
                     flavor: Flavor::Carrier,
                     gen: 0,
@@ -1041,62 +1039,19 @@ impl Sim {
                     join_waiters: Vec::new(),
                     wait_ctx: None,
                     machine: None,
-                    park: Some(park),
+                    body: Some(body),
                 },
             );
             let now = st.now;
             SimInner::push_ready(&mut st, tid, now);
             tid
         };
-        let task_label: Arc<str> = Arc::from(name.as_str());
         // Record the spawn edge when the spawner is itself a simulated
         // thread of this simulation (host-side spawns have no task to
         // attribute the edge to).
-        if current_matches(&inner) {
+        if current_matches(&self.inner) {
             emit_sync(SyncOp::Spawn, tid.0, &task_label);
         }
-        let done: Arc<Completion<T>> = Arc::new(Completion {
-            slot: Mutex::new((false, None)),
-            cv: Condvar::new(),
-        });
-        let completion = done.clone();
-        pool::submit(Box::new(move |mut lease: Lease| {
-            CURRENT.with(|c| *c.borrow_mut() = Some((inner.clone(), tid)));
-            // Wait for our first dispatch.
-            let dispatched = {
-                let mut st = inner.state.lock();
-                SimInner::wait_turn(&mut st, tid);
-                st.running == Some(tid)
-            };
-            let (result, panic_msg) = if dispatched {
-                let r = catch_unwind(AssertUnwindSafe(f));
-                // The task's clock is final after this point; joiners
-                // inherit it through the Join edge.
-                emit_sync(SyncOp::Finish, tid.0, &task_label);
-                // Final deterministic flush point for this task's
-                // instrumentation buffers (also after a panic, so events
-                // emitted before the unwind are not lost).
-                run_switch_hook();
-                let panic_msg = r.as_ref().err().map(panic_message);
-                (Some(r), panic_msg)
-            } else {
-                // Simulation died before we ever ran; unwind quietly.
-                drop(f);
-                (None, None)
-            };
-            // The task's own code is done: hand the worker back before the
-            // handover below, so by the time `Sim::run` sees the last task
-            // finish, every worker of this sim is idle again.
-            lease.release();
-            finish_task(&inner, tid, panic_msg);
-            // Leave the worker clean for its next task: no simulation (and
-            // nothing it keeps alive) stays reachable from this thread.
-            CURRENT.with(|c| c.borrow_mut().take());
-            drop(inner);
-            let mut slot = completion.slot.lock();
-            *slot = (true, result);
-            completion.cv.notify_all();
-        }));
         JoinHandle {
             inner: self.inner.clone(),
             tid,
@@ -1137,7 +1092,7 @@ impl Sim {
                     join_waiters: Vec::new(),
                     wait_ctx: None,
                     machine: Some(Box::new(machine)),
-                    park: None,
+                    body: None,
                 },
             );
             let now = st.now;
@@ -1155,47 +1110,78 @@ impl Sim {
     }
 
     /// Run the simulation to completion: dispatch tasks in virtual-time
-    /// order until every simulated task has finished. Event tasks scheduled
-    /// while no carrier is runnable are polled right here on the host
-    /// thread — a simulation of nothing but event tasks never spawns an OS
-    /// thread at all.
+    /// order until every simulated task has finished. Everything runs on
+    /// the calling thread: event tasks are polled inline, and each carrier
+    /// runs on its own stack until it sleeps, yields, blocks or finishes,
+    /// then switches back here.
     ///
     /// # Panics
     ///
     /// Propagates the first panic raised in any simulated task, and panics
-    /// on virtual-time deadlock (live tasks, none runnable).
+    /// on virtual-time deadlock (live tasks, none runnable). Before it
+    /// does, every suspended carrier is resumed once so the poison unwinds
+    /// it and its destructors run, and the closures of carriers that never
+    /// started are dropped.
     pub fn run(&self) {
-        {
-            let mut st = self.inner.state.lock();
-            assert!(!st.started, "Sim::run called twice");
-            st.started = true;
-            if st.running.is_none() {
-                if !pump(&self.inner, &mut st) {
-                    SimInner::check_deadlock(&mut st);
-                }
-                self.inner.handover(&st);
+        let inner = &self.inner;
+        // The coroutines of started carriers, by task id; owned by this
+        // loop, never by the shared state.
+        let mut carriers: Vec<Option<Carrier>> = Vec::new();
+        let mut st = inner.state.lock();
+        assert!(!st.started, "Sim::run called twice");
+        st.started = true;
+        while let Some((tid, body)) = pump(inner, &mut st) {
+            let slot = tid.0 as usize;
+            if carriers.len() <= slot {
+                carriers.resize_with(slot + 1, || None);
+            }
+            if let Some(body) = body {
+                carriers[slot] = Some(Carrier {
+                    co: Coroutine::new(body),
+                    word: 0,
+                });
+            }
+            let carrier = carriers[slot]
+                .as_mut()
+                .expect("a dispatched carrier has a coroutine");
+            if st.unlocked(|| carrier.resume(inner, tid)) {
+                carriers[slot] = None;
             }
         }
-        let mut st = self.inner.state.lock();
-        while st.live > 0 && st.poison.is_none() {
-            self.inner.host.wait(&mut st);
-            // Belt and braces: if we were woken with the scheduler idle
-            // (e.g. a host-side spawn while everything was parked), drive
-            // the calendar from here.
-            if st.running.is_none() && st.live > 0 && st.poison.is_none() {
-                if !pump(&self.inner, &mut st) {
-                    SimInner::check_deadlock(&mut st);
-                }
-                self.inner.handover(&st);
+        SimInner::check_deadlock(&mut st);
+        let Some(msg) = st.poison.clone() else {
+            return;
+        };
+        drop(st);
+        // Unwind every suspended carrier, in id order: resumed into a
+        // poisoned sim, its pending sleep/yield/block panics, and the
+        // panic ends its body.
+        for (slot, carrier) in carriers.iter_mut().enumerate() {
+            if let Some(mut c) = carrier.take() {
+                c.resume(inner, TaskId(slot as u64));
             }
         }
-        if let Some(msg) = st.poison.clone() {
-            // Release any carriers still parked so their threads return to
-            // the pool.
-            self.inner.handover(&st);
-            drop(st);
-            panic!("{msg}");
-        }
+        // Carriers that never started finish without running; their
+        // closures are dropped outside the lock (a capture's destructor
+        // may call back into the sim).
+        let unstarted: Vec<CarrierBody> = {
+            let mut st = inner.state.lock();
+            let mut ids: Vec<TaskId> = st
+                .tasks
+                .iter()
+                .filter(|(_, i)| i.body.is_some())
+                .map(|(id, _)| *id)
+                .collect();
+            ids.sort();
+            let mut bodies = Vec::with_capacity(ids.len());
+            for tid in ids {
+                bodies.extend(st.tasks.get_mut(&tid).and_then(|i| i.body.take()));
+                finish_common(&mut st, tid, None);
+            }
+            bodies
+        };
+        drop(unstarted);
+        panic!("{msg}");
     }
 
     /// Current virtual time. Callable from the host (between/after `run`)
@@ -1245,7 +1231,6 @@ fn finish_common(st: &mut SchedState, tid: TaskId, panic_msg: Option<String>) {
     let waiters = if let Some(info) = st.tasks.get_mut(&tid) {
         info.state = TaskState::Finished;
         info.machine = None;
-        info.park = None;
         std::mem::take(&mut info.join_waiters)
     } else {
         Vec::new()
@@ -1273,25 +1258,52 @@ fn finish_common(st: &mut SchedState, tid: TaskId, panic_msg: Option<String>) {
     }
 }
 
+/// A carrier's last act on its own stack: finish bookkeeping, then give
+/// up the running slot. The run loop takes it from there.
 fn finish_task(inner: &Arc<SimInner>, tid: TaskId, panic_msg: Option<String>) {
     let mut st = inner.state.lock();
     finish_common(&mut st, tid, panic_msg);
     if st.running == Some(tid) {
         st.running = None;
-        if !pump(inner, &mut st) {
-            SimInner::check_deadlock(&mut st);
-        }
     }
-    inner.handover(&st);
 }
 
-/// A carrier task's outcome, published by its pooled thread once the
-/// thread has let go of the task entirely.
-struct Completion<T> {
-    /// (done, result); the result is `None` for a task that never ran.
-    slot: Mutex<(bool, Option<std::thread::Result<T>>)>,
-    cv: Condvar,
+/// A started carrier, owned by the run loop.
+struct Carrier {
+    co: Coroutine,
+    /// The carrier's [`task_word`] while it is switched out.
+    word: u64,
 }
+
+impl Carrier {
+    /// Switch to the carrier as task `tid` until it switches back; true
+    /// once it has finished. `CURRENT` and the task word are the carrier's
+    /// while it runs and the caller's again afterwards.
+    fn resume(&mut self, inner: &Arc<SimInner>, tid: TaskId) -> bool {
+        struct Restore {
+            current: Option<(Arc<SimInner>, TaskId)>,
+            word: u64,
+        }
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let current = self.current.take();
+                CURRENT.with(|c| *c.borrow_mut() = current);
+                TASK_WORD.with(|w| w.set(self.word));
+            }
+        }
+        let _restore = Restore {
+            current: CURRENT.with(|c| c.borrow_mut().replace((inner.clone(), tid))),
+            word: TASK_WORD.with(|w| w.replace(self.word)),
+        };
+        let finished = self.co.resume();
+        self.word = task_word();
+        finished
+    }
+}
+
+/// A carrier task's outcome: set by the carrier before its joiners are
+/// woken; `None` for a task that never ran.
+type Completion<T> = Mutex<Option<std::thread::Result<T>>>;
 
 /// Handle to a spawned carrier task.
 pub struct JoinHandle<T> {
@@ -1306,25 +1318,23 @@ impl<T> JoinHandle<T> {
         self.tid
     }
 
-    /// Block (in virtual time when called from a simulated thread, in real
-    /// time when called from the host after `run`) until the thread
-    /// finishes, returning its result.
+    /// Return the thread's result. From a simulated thread this blocks in
+    /// virtual time until the thread finishes; from the host it is meant
+    /// for after [`Sim::run`].
     ///
     /// # Panics
     ///
-    /// Panics if the joined thread panicked.
+    /// Panics if the joined thread panicked, never ran (the sim was
+    /// poisoned first), or — joined from the host — has not finished.
     pub fn join(self) -> T {
         if on_sim_thread() {
             join_sim_side(&self.inner, self.tid);
         }
-        let mut slot = self.done.slot.lock();
-        while !slot.0 {
-            self.done.cv.wait(&mut slot);
-        }
-        match slot.1.take() {
+        let result = self.done.lock().take();
+        match result {
             Some(Ok(v)) => v,
             Some(Err(e)) => std::panic::resume_unwind(e),
-            None => panic!("joined thread produced no result (never ran?)"),
+            None => panic!("joined thread produced no result (never ran, or not finished yet)"),
         }
     }
 }
@@ -1486,12 +1496,28 @@ pub fn sleep(d: Duration) {
         let info = st.tasks.get_mut(&tid).expect("unknown task");
         info.state = TaskState::Ready;
         SimInner::push_ready(&mut st, tid, wake);
-        st.running = None;
-        pump(inner, &mut st);
-        inner.handover(&st);
-        SimInner::wait_turn(&mut st, tid);
-        SimInner::poison_check(&st);
+        switch_out(inner, st);
     });
+}
+
+/// Hand the CPU back to the run loop. The calling carrier has already
+/// descheduled itself in `st` (a calendar entry, or a block); this gives
+/// up the running slot, switches to the run loop's stack, and returns once
+/// the calendar dispatches the carrier again.
+///
+/// # Panics
+///
+/// Panics (unwinding the carrier) if the sim was poisoned meanwhile.
+fn switch_out<'a>(
+    inner: &'a SimInner,
+    mut st: PlMutexGuard<'a, SchedState>,
+) -> PlMutexGuard<'a, SchedState> {
+    st.running = None;
+    drop(st);
+    coro::suspend();
+    let st = inner.state.lock();
+    SimInner::poison_check(&st);
+    st
 }
 
 /// Sleep until the given virtual instant (no-op if already past).
@@ -1521,11 +1547,7 @@ pub fn yield_now() {
         info.state = TaskState::Ready;
         let now = st.now;
         SimInner::push_ready(&mut st, tid, now);
-        st.running = None;
-        pump(inner, &mut st);
-        inner.handover(&st);
-        SimInner::wait_turn(&mut st, tid);
-        SimInner::poison_check(&st);
+        switch_out(inner, st);
     });
 }
 
@@ -1565,13 +1587,7 @@ pub fn block(deadline: Option<SimTime>) -> WakeReason {
             let wake = dl.max(st.now);
             SimInner::push_entry(&mut st, tid, wake);
         }
-        st.running = None;
-        if !pump(inner, &mut st) {
-            SimInner::check_deadlock(&mut st);
-        }
-        inner.handover(&st);
-        SimInner::wait_turn(&mut st, tid);
-        SimInner::poison_check(&st);
+        let mut st = switch_out(inner, st);
         let info = st.tasks.get_mut(&tid).expect("unknown task");
         info.wait_ctx = None;
         info.wake_reason
@@ -1956,6 +1972,46 @@ mod tests {
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
                 std::panic::resume_unwind(host.join().expect_err("host thread panicked"))
             }
+        }
+    }
+
+    #[test]
+    fn poison_runs_every_suspended_carriers_drops_before_reraising() {
+        // Four carriers asleep and four blocked when "bad" panics: run()
+        // must resume each once so the poison unwinds it, before the panic
+        // reaches the host.
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let sim = Sim::new();
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                let guard = Counted(dropped.clone());
+                sim.spawn(format!("s{i}"), move || {
+                    let _guard = guard;
+                    if i % 2 == 0 {
+                        sleep(Duration::from_secs(1));
+                    } else {
+                        block(None);
+                    }
+                })
+            })
+            .collect();
+        sim.spawn("bad", || {
+            sleep(Duration::from_millis(1));
+            panic!("boom");
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run re-raises");
+        assert_eq!(dropped.load(Ordering::SeqCst), 8, "every carrier unwound");
+        assert!(panic_message(&err).contains("boom"));
+        assert_eq!(sim.live_tasks(), 0);
+        for h in handles {
+            let unwound = catch_unwind(AssertUnwindSafe(|| h.join()));
+            assert!(unwound.is_err(), "an unwound carrier's join re-raises");
         }
     }
 

@@ -1,27 +1,19 @@
-//! Hygiene of the process-wide carrier-thread pool. Carrier tasks run on
-//! pooled OS threads that outlive the simulations they carry, so a thread
-//! must come back from every task — including one that panicked — with
-//! nothing of the old simulation left on it: the same workload run twice
-//! in one process must reproduce its probe stream, clock and scheduler
-//! counters exactly, reuse the threads of the first run, and leave no
-//! finished simulation reachable from an idle thread.
-//!
-//! The pool is shared by every test in this binary, so the tests take
-//! one lock to run one at a time: thread counts and worker reuse are only
-//! observable without concurrent simulations.
+//! Hygiene of coroutine carriers. Every carrier of a simulation runs on
+//! the thread that calls `Sim::run`, so that thread must come back from
+//! every run — including one that was poisoned — with nothing of the old
+//! simulation left on it, and per-carrier state must follow its carrier
+//! across switches rather than stay with the thread: the same workload run
+//! twice reproduces its probe stream, clock and scheduler counters
+//! exactly, no finished simulation stays reachable, and I/O is tagged with
+//! the origin of the carrier that issued it.
 
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use tf_darshan::posix::{OpenFlags, PrefetchOrigin};
-use tf_darshan::probe::{CollectingSink, Origin, ProbeSink};
-use tf_darshan::simrt::{self, SchedStats, SyncEvent, SyncObserver};
-use tf_darshan::workloads::os_threads;
+use tf_darshan::probe::{CollectingSink, EventKind, IoEvent, Origin, ProbeSink};
+use tf_darshan::simrt::{self, SchedStats, SyncEvent, SyncObserver, TaskId};
 use tf_darshan::workloads::platform::greendog;
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Carriers per run: as many as the 28 map threads of the ImageNet
 /// workload, and more than a small host has cores.
@@ -45,14 +37,20 @@ fn strip_pids(s: &str) -> String {
     out
 }
 
+struct Quiet;
+
+impl SyncObserver for Quiet {
+    fn on_sync(&self, _ev: &SyncEvent) {}
+}
+
 struct Run {
     events: String,
     clock: u64,
     stats: SchedStats,
-    /// The OS thread each carrier ran on, by carrier.
-    threads: Vec<String>,
     /// The sink registered on the run's process bus, held weakly.
     sink: Weak<CollectingSink>,
+    /// The run's sync observer, which only its sim holds.
+    sim: Weak<dyn SyncObserver>,
 }
 
 /// `CARRIERS` carriers each reading their own file in paced rounds. The
@@ -68,31 +66,29 @@ fn run_readers() -> Run {
     m.process
         .probe()
         .register(sink.clone() as Arc<dyn ProbeSink>);
-    let handles: Vec<_> = (0..CARRIERS)
-        .map(|i| {
-            let process = m.process.clone();
-            m.sim.spawn(format!("r{i}"), move || {
-                let thread = thread_name();
-                let fd = process
-                    .open(&format!("/data/hdd/pool/f{i}"), OpenFlags::rdonly())
-                    .unwrap();
-                for r in 0..3u64 {
-                    simrt::sleep(Duration::from_micros(100 + (i as u64 % 7) * 30));
-                    process.pread(fd, r * 4096, 4096, None).unwrap();
-                }
-                process.close(fd).unwrap();
-                thread
-            })
-        })
-        .collect();
+    let observer: Arc<dyn SyncObserver> = Arc::new(Quiet);
+    let sim = Arc::downgrade(&observer);
+    m.sim.set_sync_observer(observer);
+    for i in 0..CARRIERS {
+        let process = m.process.clone();
+        m.sim.spawn(format!("r{i}"), move || {
+            let fd = process
+                .open(&format!("/data/hdd/pool/f{i}"), OpenFlags::rdonly())
+                .unwrap();
+            for r in 0..3u64 {
+                simrt::sleep(Duration::from_micros(100 + (i as u64 % 7) * 30));
+                process.pread(fd, r * 4096, 4096, None).unwrap();
+            }
+            process.close(fd).unwrap();
+        });
+    }
     m.sim.run();
-    let threads = handles.into_iter().map(|h| h.join()).collect();
     let run = Run {
         events: strip_pids(&format!("{:?}", sink.snapshot())),
         clock: m.sim.now().as_nanos(),
         stats: m.sim.stats(),
-        threads,
         sink: Arc::downgrade(&sink),
+        sim,
     };
     drop(sink);
     drop(m);
@@ -100,57 +96,35 @@ fn run_readers() -> Run {
 }
 
 #[test]
-fn back_to_back_sims_reproduce_exactly_on_the_same_threads() {
-    let _serial = SERIAL.lock();
+fn back_to_back_sims_reproduce_exactly() {
     let first = run_readers();
-    let threads_first = os_threads();
     let second = run_readers();
-    let threads_second = os_threads();
 
     assert!(!first.events.is_empty());
     assert_eq!(first.events, second.events, "probe streams diverged");
     assert_eq!(first.clock, second.clock, "final clocks diverged");
     assert_eq!(first.stats, second.stats, "scheduler counters diverged");
     assert_eq!(first.stats.carrier_spawns as usize, CARRIERS);
-    assert_eq!(
-        first.threads, second.threads,
-        "each carrier must run on the same pooled thread in both runs"
-    );
-    if let (Some(a), Some(b)) = (threads_first, threads_second) {
-        assert!(
-            b <= a,
-            "the second run started threads of its own: {a} after the first run, {b} after the second"
-        );
-    }
 }
 
 #[test]
-fn an_idle_worker_keeps_no_dropped_sim_alive() {
-    let _serial = SERIAL.lock();
+fn a_finished_sim_is_not_kept_alive_by_the_host_thread() {
     let run = run_readers();
     assert!(
         run.sink.upgrade().is_none(),
         "a finished run's sink is still reachable after its sim and process were dropped"
     );
-}
-
-struct Quiet;
-
-impl SyncObserver for Quiet {
-    fn on_sync(&self, _ev: &SyncEvent) {}
-}
-
-fn thread_name() -> String {
-    std::thread::current().name().unwrap_or("").to_string()
+    assert!(
+        run.sim.upgrade().is_none(),
+        "a finished run's sim is still reachable after it was dropped"
+    );
 }
 
 #[test]
-fn a_worker_reused_after_a_panic_starts_clean() {
-    let _serial = SERIAL.lock();
-
+fn a_sim_after_a_poisoned_one_starts_at_app_origin() {
     // Run 1: "reader" streams a file through stdio while tagged as a
-    // prefetch daemon, so both origin depths are raised on its thread when
-    // "bad" panics and the poison unwinds it mid-read.
+    // prefetch daemon, so both origin depths are raised when "bad" panics
+    // and the poison unwinds it mid-read.
     let m = greendog();
     m.stack
         .create_synthetic("/data/hdd/pool/big", 64 << 20, 7)
@@ -159,10 +133,7 @@ fn a_worker_reused_after_a_panic_starts_clean() {
     let sim_alive = Arc::downgrade(&observer);
     m.sim.set_sync_observer(observer);
     let process = m.process.clone();
-    let reader_thread = Arc::new(Mutex::new(String::new()));
-    let record = reader_thread.clone();
     let reader = m.sim.spawn("reader", move || {
-        *record.lock() = thread_name();
         let _daemon = PrefetchOrigin::enter();
         let s = process.fopen("/data/hdd/pool/big", "r").unwrap();
         loop {
@@ -183,11 +154,11 @@ fn a_worker_reused_after_a_panic_starts_clean() {
     drop(m);
     assert!(
         sim_alive.upgrade().is_none(),
-        "a pooled thread still holds the poisoned sim"
+        "the host thread still holds the poisoned sim"
     );
 
-    // Run 2: its first carrier takes the lowest idle worker, which is the
-    // one "reader" ran on; its I/O must be attributed to the application.
+    // Run 2, on the same thread: its I/O must be attributed to the
+    // application.
     let m = greendog();
     m.stack
         .create_synthetic("/data/hdd/pool/small", 64 << 10, 8)
@@ -197,25 +168,123 @@ fn a_worker_reused_after_a_panic_starts_clean() {
         .probe()
         .register(sink.clone() as Arc<dyn ProbeSink>);
     let process = m.process.clone();
-    let clean = m.sim.spawn("clean", move || {
+    m.sim.spawn("clean", move || {
         let fd = process
             .open("/data/hdd/pool/small", OpenFlags::rdonly())
             .unwrap();
         process.pread(fd, 0, 4096, None).unwrap();
         process.close(fd).unwrap();
-        thread_name()
     });
     m.sim.run();
-    assert_eq!(
-        clean.join(),
-        *reader_thread.lock(),
-        "the lowest idle worker was reused"
-    );
     let events = sink.snapshot();
     assert_eq!(events.len(), 3);
     assert!(
         events.iter().all(|e| e.origin == Origin::App),
-        "stale origin depth on a reused worker: {:?}",
+        "stale origin depth after a poisoned run: {:?}",
         events.iter().map(|e| e.origin).collect::<Vec<_>>()
+    );
+}
+
+/// Descriptor reads of one task, in stream order.
+fn reads_of(events: &[IoEvent], task: TaskId) -> Vec<&IoEvent> {
+    events
+        .iter()
+        .filter(|e| e.task == task && matches!(e.kind, EventKind::Read { .. }))
+        .collect()
+}
+
+#[test]
+fn origin_tags_follow_their_carrier_across_switches() {
+    // Three carriers on one thread, each file on its own device so their
+    // reads overlap in virtual time: "daemon" holds a `PrefetchOrigin`
+    // across a sleep, "stdio" refills its buffer (stdio-internal reads that
+    // switch out mid-read), and "app" reads in between.
+    let m = greendog();
+    m.stack
+        .create_synthetic("/data/hdd/origin/daemon", 1 << 20, 1)
+        .unwrap();
+    m.stack
+        .create_synthetic("/data/hdd2/origin/stdio", 1 << 20, 2)
+        .unwrap();
+    m.stack
+        .create_synthetic("/data/ssd/origin/app", 1 << 20, 3)
+        .unwrap();
+    let sink = Arc::new(CollectingSink::new());
+    m.process
+        .probe()
+        .register(sink.clone() as Arc<dyn ProbeSink>);
+
+    let process = m.process.clone();
+    let daemon = m.sim.spawn("daemon", move || {
+        let _daemon = PrefetchOrigin::enter();
+        let fd = process
+            .open("/data/hdd/origin/daemon", OpenFlags::rdonly())
+            .unwrap();
+        process.pread(fd, 0, 64 << 10, None).unwrap();
+        simrt::sleep(Duration::from_millis(2));
+        process.pread(fd, 64 << 10, 64 << 10, None).unwrap();
+        process.close(fd).unwrap();
+    });
+    let process = m.process.clone();
+    let stdio = m.sim.spawn("stdio", move || {
+        let s = process.fopen("/data/hdd2/origin/stdio", "r").unwrap();
+        for _ in 0..8 {
+            process.fread(s, 6000, None).unwrap();
+        }
+        process.fclose(s).unwrap();
+    });
+    let process = m.process.clone();
+    let app = m.sim.spawn("app", move || {
+        let fd = process
+            .open("/data/ssd/origin/app", OpenFlags::rdonly())
+            .unwrap();
+        for i in 0..100u64 {
+            simrt::sleep(Duration::from_micros(100));
+            process.pread(fd, i * 4096, 4096, None).unwrap();
+        }
+        process.close(fd).unwrap();
+    });
+    m.sim.run();
+    let events = sink.snapshot();
+
+    let (daemon, stdio, app) = (daemon.id(), stdio.id(), app.id());
+    let origins = |task| {
+        events
+            .iter()
+            .filter(|e| e.task == task)
+            .map(|e| e.origin)
+            .collect::<Vec<_>>()
+    };
+    assert!(
+        origins(app).iter().all(|o| *o == Origin::App),
+        "app I/O tagged by another carrier: {:?}",
+        origins(app)
+    );
+    assert!(
+        origins(daemon).iter().all(|o| *o == Origin::Prefetch),
+        "daemon I/O lost its tag across the switch: {:?}",
+        origins(daemon)
+    );
+    assert!(origins(stdio).contains(&Origin::StdioInternal));
+    assert!(!origins(stdio).contains(&Origin::Prefetch));
+
+    // The switches happened where they matter: an app read falls between
+    // the daemon's two reads, and another inside one stdio-internal read.
+    let daemon_reads = reads_of(&events, daemon);
+    assert_eq!(daemon_reads.len(), 2);
+    let app_reads = reads_of(&events, app);
+    assert!(app_reads
+        .iter()
+        .any(|a| a.t0 >= daemon_reads[0].t1 && a.t1 <= daemon_reads[1].t0));
+    let refills: Vec<_> = reads_of(&events, stdio)
+        .into_iter()
+        .filter(|e| e.origin == Origin::StdioInternal)
+        .collect();
+    assert!(refills.len() >= 2, "the stdio reads refilled its buffer");
+    assert!(
+        app_reads
+            .iter()
+            .any(|a| refills.iter().any(|r| r.t0 <= a.t0 && a.t1 <= r.t1)),
+        "no app read completed during a stdio refill"
     );
 }
