@@ -2,7 +2,7 @@
 //! cost, and host memory.
 //!
 //! The fleet refactor's claim is that no layer re-flattens the job: node
-//! carriers keep OS threads at `ranks / 64`, sharded probe buses keep
+//! carriers keep carrier stacks at `ranks / 64`, sharded probe buses keep
 //! per-event fan-out constant, and the log-depth tree reduction keeps
 //! merge cost growing with `log N` rather than `N`. This bench sweeps the
 //! `fleet_scale` workload over a log rank axis and records, per world

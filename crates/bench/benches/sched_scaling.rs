@@ -3,7 +3,8 @@
 //! The event-driven DES core's claim is *flat per-task overhead*: going
 //! from 100 to 10 000 simulated threads should scale host wall time and
 //! memory roughly linearly in the task count (constant per task), while
-//! the OS-thread count stays pinned at the small carrier pool. This bench
+//! the OS-thread count stays where it was: carriers are coroutines on the
+//! thread that runs the sim. This bench
 //! sweeps the `sched_scale` workload over a log axis and records, per
 //! fleet size: host wall time, per-task wall time, resident set, peak OS
 //! threads, and the scheduler's own counters.

@@ -41,11 +41,10 @@ pub struct TfDarshanReport {
 /// scheduler did while producing the report — carrier context switches vs
 /// inline event-task polls, task counts per flavor, and run-calendar
 /// high-water marks. The scale experiments read these next to the I/O
-/// counters to show that simulated concurrency costs heap entries, not OS
-/// threads.
+/// counters to show what simulated concurrency costs the scheduler.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedStatsReport {
-    /// Carrier context switches (parked-thread handovers).
+    /// Carrier dispatches: each is a switch onto a carrier's stack.
     pub switches: u64,
     /// Fast-path time advances (sleeps that kept the carrier).
     pub fast_advances: u64,

@@ -851,7 +851,7 @@ impl DarshanRuntime {
     /// Cheap aggregates (no module lock ordering concerns).
     pub fn totals(&self) -> Totals {
         // Fold any events still buffered on this thread so the aggregates
-        // are complete up to now (parked threads flushed when descheduled).
+        // are complete up to now (other carriers flushed when descheduled).
         probe::flush_current_thread();
         Totals {
             posix_bytes_read: self.agg_bytes_read.load(Ordering::Relaxed),

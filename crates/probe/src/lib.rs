@@ -21,7 +21,7 @@
 //! Because simrt runs exactly one simulated thread at any moment and every
 //! descheduling point flushes, events are delivered to sinks in op-completion
 //! order — the same order the old inline per-consumer bookkeeping observed —
-//! and all *parked* threads always have empty rings.
+//! and a descheduled carrier never has events pending.
 //!
 //! # Sink rules
 //!
@@ -260,6 +260,19 @@ struct BusInner {
     /// Cached `sinks.len()`, so the emission fast path is one relaxed load.
     active: AtomicUsize,
     next_id: Mutex<u64>,
+    /// Where this bus's ring last sat in a thread's registry: a guess that
+    /// [`Registry::ring_for`] checks before it scans.
+    ring_hint: AtomicUsize,
+}
+
+/// Buses dropped so far, process-wide. A registry sweeps out dead entries
+/// only when this moved since its last sweep.
+static BUSES_DROPPED: AtomicUsize = AtomicUsize::new(0);
+
+impl Drop for BusInner {
+    fn drop(&mut self) {
+        BUSES_DROPPED.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Deliver one batch to every sink of `bus`. The sink list is an immutable
@@ -307,6 +320,7 @@ impl ProbeBus {
                 sinks: RwLock::new(Arc::new(Vec::new())),
                 active: AtomicUsize::new(0),
                 next_id: Mutex::new(0),
+                ring_hint: AtomicUsize::new(0),
             }),
         }
     }
@@ -344,8 +358,8 @@ impl ProbeBus {
     }
 
     /// Unregister a sink, first flushing the current thread's ring so the
-    /// departing sink receives every event emitted before this call. (All
-    /// parked threads flushed when they descheduled, so nothing else is
+    /// departing sink receives every event emitted before this call. (Every
+    /// descheduled carrier flushed when it switched out, so nothing else is
     /// pending.)
     pub fn unregister(&self, id: SinkId) {
         flush_current_thread();
@@ -478,37 +492,84 @@ impl Ring {
     }
 }
 
-/// Per-OS-thread (bus → ring) registry. Usually one entry (a process's own
-/// bus), two when a shared job spine mirrors events. Entries hold their bus
-/// weakly: carrier threads are pooled and outlive the simulations they
-/// carry, and an idle thread must not keep a finished simulation's bus —
-/// and every sink on it — alive. Cleanup of entries whose bus is gone
-/// happens at flush points only, never per event.
+/// Per-OS-thread (bus → ring) registry. One entry per bus that emitted on
+/// this thread: a process's own bus and its shard or job spines, for every
+/// process whose carriers run here — over a thousand in a 1024-rank fleet.
+/// So neither emission nor a flush may walk the whole registry: a bus
+/// finds its ring through its hint, and a flush visits only the rings
+/// that took events since the last one.
+///
+/// Entries hold their bus weakly: the thread that runs a simulation
+/// outlives it, and must not keep a finished simulation's bus — and every
+/// sink on it — alive. Entries whose bus is gone are swept out at the
+/// first flush after any bus drops, never per event.
 #[derive(Default)]
 struct Registry {
     entries: Vec<(Weak<BusInner>, Ring)>,
+    /// Indices of the entries whose ring took events since the last flush.
+    pending: Vec<usize>,
+    /// [`BUSES_DROPPED`] when dead entries were last swept out.
+    swept_at: usize,
 }
 
 impl Registry {
-    /// The ring for `bus`, created on first use. A linear pointer scan over
-    /// one or two entries beats any hash; a dead entry cannot alias a live
-    /// bus because its `Weak` keeps the allocation's address reserved.
+    /// The ring for `bus`, created on first use, marked pending when it
+    /// holds events. A dead entry cannot alias a live bus because its
+    /// `Weak` keeps the allocation's address reserved, so a pointer match
+    /// at the hinted index is always the bus's own entry.
     #[inline]
     fn ring_for(&mut self, bus: &Arc<BusInner>) -> &mut Ring {
-        let idx = self
-            .entries
-            .iter()
-            .position(|(b, _)| std::ptr::eq(b.as_ptr(), Arc::as_ptr(bus)))
-            .unwrap_or_else(|| {
+        let is_bus = |(b, _): &(Weak<BusInner>, Ring)| std::ptr::eq(b.as_ptr(), Arc::as_ptr(bus));
+        let hint = bus.ring_hint.load(Ordering::Relaxed);
+        let idx = if self.entries.get(hint).is_some_and(is_bus) {
+            hint
+        } else {
+            let idx = self.entries.iter().position(is_bus).unwrap_or_else(|| {
                 self.entries.push((Arc::downgrade(bus), Ring::new()));
                 self.entries.len() - 1
             });
+            bus.ring_hint.store(idx, Ordering::Relaxed);
+            idx
+        };
+        if self.entries[idx].1.len() == 0 {
+            self.pending.push(idx);
+        }
         &mut self.entries[idx].1
+    }
+
+    /// Take every pending batch, in registry order, with its bus. Batches
+    /// of dropped buses are discarded: delivering them would carry a dead
+    /// simulation's events into whatever runs next on this thread.
+    fn drain_pending(&mut self) -> Vec<(Arc<BusInner>, Vec<IoEvent>)> {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable();
+        pending.dedup();
+        let mut out = Vec::with_capacity(pending.len());
+        for idx in pending {
+            let (bus, ring) = &mut self.entries[idx];
+            if ring.len() > 0 {
+                let mut batch = Vec::with_capacity(ring.len());
+                ring.drain_into(&mut batch);
+                if let Some(bus) = bus.upgrade() {
+                    out.push((bus, batch));
+                }
+            }
+        }
+        let dropped = BUSES_DROPPED.load(Ordering::Relaxed);
+        if dropped != self.swept_at {
+            self.swept_at = dropped;
+            self.entries.retain(|(bus, _)| bus.strong_count() > 0);
+        }
+        out
     }
 }
 
 thread_local! {
-    /// (bus, ring) pairs for this OS thread.
+    /// (bus, ring) pairs for this OS thread. Every carrier of a simulation
+    /// runs on the thread in `Sim::run`, so the carriers share these rings
+    /// — which is sound because every switch flushes them (the context-
+    /// switch hook) before the next carrier runs: the rings only ever hold
+    /// events of the carrier running now.
     static RINGS: RefCell<Registry> = RefCell::new(Registry::default());
     /// Re-entrancy guard: a sink fold must not trigger a nested flush.
     static FLUSHING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -530,25 +591,8 @@ pub fn flush_current_thread() {
     // so a pathological always-emitting sink cannot spin forever.
     for _round in 0..8 {
         // Move the pending batches out first so an emitting sink cannot
-        // observe a borrowed RefCell. Rings whose bus is gone — every
-        // `ProbeBus` handle dropped, e.g. a previous `Sim`'s process bus —
-        // are discarded wholesale here: delivering them would carry a dead
-        // simulation's events into whatever runs next on this host thread.
-        let pending: Vec<(Arc<BusInner>, Vec<IoEvent>)> = RINGS.with(|r| {
-            let mut reg = r.borrow_mut();
-            reg.entries.retain(|(bus, _)| bus.strong_count() > 0);
-            let mut out = Vec::new();
-            for (bus, ring) in reg.entries.iter_mut() {
-                if ring.len() > 0 {
-                    let mut batch = Vec::with_capacity(ring.len());
-                    ring.drain_into(&mut batch);
-                    if let Some(bus) = bus.upgrade() {
-                        out.push((bus, batch));
-                    }
-                }
-            }
-            out
-        });
+        // observe a borrowed RefCell.
+        let pending = RINGS.with(|r| r.borrow_mut().drain_pending());
         if pending.is_empty() {
             break;
         }
@@ -574,12 +618,13 @@ pub fn discard_thread_rings() {
             ring.drain_into(&mut dropped);
         }
         reg.entries.clear();
+        reg.pending.clear();
     });
 }
 
 /// Bridges `simrt` synchronization events onto a [`ProbeBus`] as
 /// [`EventKind::Sync`] events, interleaved with the I/O stream in execution
-/// order (the observer runs on the emitting task's carrier thread, and the
+/// order (the observer runs while the emitting task runs, and the
 /// per-thread rings drain at every context switch).
 ///
 /// Install with [`SyncBridge::install`]; remember to
@@ -711,6 +756,41 @@ mod tests {
             origin: Origin::App,
             target: intern("/f"),
             kind,
+        }
+    }
+
+    #[test]
+    fn dropped_buses_are_swept_and_survivors_keep_their_rings() {
+        // Many buses on one thread, as when a fleet's carriers share the
+        // run-loop thread. Sweeping the dropped ones shifts the survivors'
+        // registry entries; each survivor's events must still reach its
+        // own sink.
+        let buses: Vec<(ProbeBus, Arc<CollectingSink>)> = (0..8)
+            .map(|_| {
+                let bus = ProbeBus::new();
+                let sink = Arc::new(CollectingSink::new());
+                bus.register(sink.clone());
+                (bus, sink)
+            })
+            .collect();
+        let entries = || RINGS.with(|r| r.borrow().entries.len());
+        for (bus, _) in &buses {
+            bus.emit(ev(EventKind::Stat));
+        }
+        flush_current_thread();
+        assert_eq!(entries(), 8);
+        let (kept, dropped): (Vec<_>, Vec<_>) =
+            buses.into_iter().enumerate().partition(|(i, _)| i % 2 == 1);
+        drop(dropped);
+        for _ in 0..2 {
+            for (_, (bus, _)) in &kept {
+                bus.emit(ev(EventKind::Stat));
+            }
+            flush_current_thread();
+            assert_eq!(entries(), 4, "dead entries swept at the first flush");
+        }
+        for (_, (_, sink)) in &kept {
+            assert_eq!(sink.snapshot().len(), 3);
         }
     }
 

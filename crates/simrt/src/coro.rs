@@ -234,7 +234,7 @@ impl Drop for Coroutine {
             // may be pointed into, so stack and frame are leaked rather
             // than unmapped under them. The scheduler resumes every
             // carrier to completion, so only a carrier that swallows the
-            // poison panic can end up here.
+            // poison panic, or a run loop unwinding, leaves one here.
             std::mem::forget(self.stack.take());
             return;
         }

@@ -9,18 +9,21 @@
 //! ## Model
 //!
 //! * A [`Sim`] owns a virtual clock and a calendar of runnable tasks.
-//! * [`Sim::spawn`] creates a *carrier* simulated thread, carried by a real
-//!   OS thread, for code that must look like blocking POSIX. Exactly one
-//!   simulated thread executes at any moment; control transfers on
-//!   [`sleep`], [`yield_now`], or blocking in [`sync`] primitives.
+//! * [`Sim::spawn`] creates a *carrier* simulated thread, a stackful
+//!   coroutine with a real stack of its own, for code that must look like
+//!   blocking POSIX. Exactly one simulated thread executes at any moment;
+//!   control transfers on [`sleep`], [`yield_now`], or blocking in [`sync`]
+//!   primitives, and a transfer is a register swap in user space.
 //!   Interleaving is by (virtual time, FIFO sequence) — fully deterministic.
 //! * [`Sim::spawn_event`] creates an *event task*: a stackless state machine
-//!   ([`EventTask`]) resumed inline by the discrete-event loop — no OS
-//!   thread, so tens of thousands of samplers, barrier crossers and
-//!   reduction steps cost a heap entry each. Both flavors share one
-//!   calendar, one id space, and identical ordering semantics.
+//!   ([`EventTask`]) resumed inline by the discrete-event loop — no stack,
+//!   so tens of thousands of samplers, barrier crossers and reduction
+//!   steps cost a heap entry each. Both flavors share one calendar, one id
+//!   space, and identical ordering semantics.
 //! * [`Sim::run`] drives the calendar until all simulated threads finish,
-//!   propagating panics and diagnosing virtual-time deadlocks.
+//!   propagating panics and diagnosing virtual-time deadlocks. Every task
+//!   of the sim runs on the thread that calls it; a simulation starts no
+//!   OS thread.
 //!
 //! ## Example
 //!

@@ -6,8 +6,9 @@
 //! a wait list and then descheduling is atomic with respect to all other
 //! simulated threads.
 //!
-//! Internal state still lives behind `parking_lot::Mutex` because carrier
-//! threads are real OS threads — but those locks are always uncontended.
+//! Internal state still lives behind `parking_lot::Mutex` because a
+//! primitive is `Send + Sync` and may be touched from the host too — but
+//! those locks are always uncontended.
 //!
 //! ## Event-task wait paths
 //!

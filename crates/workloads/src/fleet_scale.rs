@@ -6,10 +6,10 @@
 //! drives every fleet refactor end to end at world sizes up to 4096:
 //!
 //! * **Node carriers** — ranks are grouped onto nodes
-//!   ([`FleetConfig::ranks_per_node`] each); one carrier thread per node
+//!   ([`FleetConfig::ranks_per_node`] each); one carrier per node
 //!   drives its ranks' [`posix_sim::Process`]es through a read epoch
-//!   against the node-local SSD, so a 4096-rank job costs 64 OS threads,
-//!   not 4096. Every rank reads its node's shared index file — a
+//!   against the node-local SSD, so a 4096-rank job costs 64 carrier
+//!   stacks, not 4096. Every rank reads its node's shared index file — a
 //!   64-way shared record, the case parallel Darshan's reduction exists
 //!   for — and a **bounded** set of node leaders ([`MANIFEST_READERS`])
 //!   read the job manifest off the Lustre scratch. Bounding the
@@ -109,7 +109,7 @@ impl FleetConfig {
 pub struct FleetOutcome {
     /// Ranks that ran.
     pub world_size: usize,
-    /// Node carriers (OS threads) that drove them.
+    /// Node carriers that drove them.
     pub nodes: usize,
     /// Bytes the job read (from the merged job report).
     pub bytes_read: u64,

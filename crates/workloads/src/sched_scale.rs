@@ -1,19 +1,20 @@
-//! The scheduler scale workload: many simulated threads, few OS threads.
+//! The scheduler scale workload: many simulated threads, no added OS thread.
 //!
 //! The event-driven DES core's contract is that simulated concurrency
 //! costs run-calendar heap entries, not OS threads — 10k simulated
 //! threads must not mean 10k stacks. This workload drives that contract
 //! end to end: `sim_threads` stackless *event tasks* run a
 //! sleep-then-barrier cadence (the shape of a wide rank fleet waiting on
-//! collectives) while a small constant pool of *carrier* threads does
-//! real POSIX I/O through the probe spine — optionally under the `iosan`
+//! collectives) while a small constant set of *carriers* does real POSIX
+//! I/O through the probe spine — optionally under the `iosan`
 //! sanitizer, which observes both flavors' sync edges on one stream.
 //!
 //! The outcome pairs the scheduler's own counters ([`simrt::SchedStats`])
 //! with the process's OS-thread count read from `/proc/self/status`, so
 //! [`verdict`] (CI's `gate -- scale`) and the `sched_scaling` bench can
 //! assert the flat-overhead claim directly: `event_spawns == sim_threads`
-//! while the OS threads the run adds stay bounded by the carrier pool.
+//! while the run adds no OS thread — carriers are coroutines on the thread
+//! in `Sim::run` — and at most [`MAX_OS_THREADS`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +28,7 @@ use crate::fleet_scale::proc_status;
 use crate::gate::{Gate, Verdict};
 use crate::platform::greendog;
 
-/// Carrier I/O threads the workload always runs (the "real work" pool).
+/// Carriers doing I/O in every run (the "real work").
 pub const CARRIER_POOL: usize = 4;
 
 /// Bytes each carrier reads per round.
@@ -49,8 +50,8 @@ pub struct SchedScaleOutcome {
     /// run (a process-wide proxy: includes harness threads, so compare
     /// against generous bounds, not exact counts). `None` off procfs.
     pub peak_os_threads: Option<usize>,
-    /// The `Threads:` count just before the run. Carriers are pooled for
-    /// the life of the process, so `peak - base` is what this run added.
+    /// The `Threads:` count just before the run, so `peak - base` is what
+    /// this run added.
     pub base_os_threads: Option<usize>,
     /// Virtual time the run took.
     pub virtual_wall: SimTime,
@@ -104,22 +105,27 @@ pub fn run_sched_scale(sim_threads: usize, rounds: usize, sanitize: bool) -> Sch
                 }
             });
     }
-    for c in 0..CARRIER_POOL {
-        let process = m.process.clone();
-        m.sim.spawn(format!("io{c}"), move || {
-            let path = format!("/data/hdd/scale/c{c}");
-            for _ in 0..rounds {
-                let fd = process.open(&path, OpenFlags::rdonly()).unwrap();
-                process.read(fd, CARRIER_READ, None).unwrap();
-                process.close(fd).unwrap();
-                simrt::sleep(Duration::from_millis(1));
-            }
-        });
-    }
-    // Every carrier OS thread exists (parked or running) once spawned, so
-    // this sample sees the pool at full strength.
-    peak = peak.max(os_threads());
+    let samples: Vec<_> = (0..CARRIER_POOL)
+        .map(|c| {
+            let process = m.process.clone();
+            m.sim.spawn(format!("io{c}"), move || {
+                // Sampled mid-run, with every task of the sim spawned.
+                let seen = os_threads();
+                let path = format!("/data/hdd/scale/c{c}");
+                for _ in 0..rounds {
+                    let fd = process.open(&path, OpenFlags::rdonly()).unwrap();
+                    process.read(fd, CARRIER_READ, None).unwrap();
+                    process.close(fd).unwrap();
+                    simrt::sleep(Duration::from_millis(1));
+                }
+                seen
+            })
+        })
+        .collect();
     m.sim.run();
+    for seen in samples {
+        peak = peak.max(seen.join());
+    }
     peak = peak.max(os_threads());
 
     SchedScaleOutcome {
@@ -133,8 +139,8 @@ pub fn run_sched_scale(sim_threads: usize, rounds: usize, sanitize: bool) -> Sch
     }
 }
 
-/// Judge a sanitized run: a clean sanitizer, every event task and the
-/// whole carrier pool scheduled, and no OS thread per simulated one.
+/// Judge a sanitized run: a clean sanitizer, every event task and every
+/// carrier scheduled, and no OS thread per simulated one.
 pub fn verdict(out: &SchedScaleOutcome) -> Verdict {
     let (s, n) = (&out.stats, out.sim_threads);
     let (events, live) = (s.event_spawns as usize, s.peak_live_tasks);
