@@ -266,12 +266,13 @@ struct BusInner {
 }
 
 /// Buses dropped so far, process-wide. A registry sweeps out dead entries
-/// only when this moved since its last sweep.
+/// only when this moved since its last sweep. The increment releases, and
+/// the sweep's load acquires, the dropped bus's zero strong count.
 static BUSES_DROPPED: AtomicUsize = AtomicUsize::new(0);
 
 impl Drop for BusInner {
     fn drop(&mut self) {
-        BUSES_DROPPED.fetch_add(1, Ordering::Relaxed);
+        BUSES_DROPPED.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -555,7 +556,7 @@ impl Registry {
                 }
             }
         }
-        let dropped = BUSES_DROPPED.load(Ordering::Relaxed);
+        let dropped = BUSES_DROPPED.load(Ordering::Acquire);
         if dropped != self.swept_at {
             self.swept_at = dropped;
             self.entries.retain(|(bus, _)| bus.strong_count() > 0);
