@@ -343,8 +343,14 @@ mod tests {
     #[test]
     fn float_state_and_alignment_survive_switches() {
         let mut co = Coroutine::new(Box::new(|| {
-            // A misaligned stack faults in aligned SSE spills; f64 maths
-            // across switches checks the saved registers.
+            // The compiler places a 16-byte-aligned local by offset from
+            // rsp, trusting the ABI's alignment at entry: a misaligned
+            // entry shows up as a misaligned address.
+            #[repr(align(16))]
+            struct Aligned([u8; 16]);
+            let probe = std::hint::black_box(Aligned([0; 16]));
+            assert_eq!(probe.0.as_ptr() as usize % 16, 0);
+            // f64 maths across switches checks the saved registers.
             let mut x = 1.5f64;
             for _ in 0..100 {
                 x = (x * 1.000_001).sqrt() + 0.25;
