@@ -32,7 +32,6 @@ struct Point {
     reduce_flat_ns: u64,
     host_wall_ms: f64,
     peak_rss_kib: Option<u64>,
-    events: u64,
 }
 
 fn measure(world_size: usize) -> Point {
@@ -60,7 +59,6 @@ fn measure(world_size: usize) -> Point {
         reduce_flat_ns: out.reduce.modeled_flat.as_nanos() as u64,
         host_wall_ms: wall.as_secs_f64() * 1e3,
         peak_rss_kib: peak_rss_kib(),
-        events: out.stats.event_spawns,
     }
 }
 
@@ -90,12 +88,12 @@ fn main() {
     let points: Vec<Point> = worlds.iter().map(|&w| measure(w)).collect();
 
     println!(
-        "{:>7} {:>6} {:>12} {:>12} {:>8} {:>12} {:>12} {:>10} {:>10}",
-        "ranks", "nodes", "MiB/s", "reduce ns", "levels", "flat ns", "wall ms", "RSS MiB", "events"
+        "{:>7} {:>6} {:>12} {:>12} {:>8} {:>12} {:>12} {:>10}",
+        "ranks", "nodes", "MiB/s", "reduce ns", "levels", "flat ns", "wall ms", "RSS MiB"
     );
     for p in &points {
         println!(
-            "{:>7} {:>6} {:>12.1} {:>12} {:>8} {:>12} {:>12.1} {:>10} {:>10}",
+            "{:>7} {:>6} {:>12.1} {:>12} {:>8} {:>12} {:>12.1} {:>10}",
             p.world_size,
             p.nodes,
             p.read_mib_s,
@@ -105,7 +103,6 @@ fn main() {
             p.host_wall_ms,
             p.peak_rss_kib
                 .map_or("n/a".to_string(), |k| format!("{:.1}", k as f64 / 1024.0)),
-            p.events,
         );
     }
 
@@ -179,7 +176,6 @@ fn main() {
                 "reduce_flat_ns": p.reduce_flat_ns,
                 "host_wall_ms": p.host_wall_ms,
                 "peak_rss_kib": p.peak_rss_kib,
-                "events": p.events,
             })).collect::<Vec<_>>(),
             "bandwidth_1024_vs_linear_64": p1k.read_mib_s / linear,
             "reduce_growth_256_to_1024": reduce_growth,

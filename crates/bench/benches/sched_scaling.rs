@@ -9,15 +9,21 @@
 //! fleet size: host wall time, per-task wall time, resident set, peak OS
 //! threads, and the scheduler's own counters.
 //!
+//! Every simulated thread is a carrier on a pooled, lazily touched stack.
+//!
 //! Acceptance: per-task wall time at 10 000 tasks within 8× of the
 //! per-task wall time at 100 (allowing cache effects and heap growth —
-//! "near-flat", not "bit-identical"), and OS threads bounded by a
-//! constant far below the fleet size at every point.
+//! "near-flat", not "bit-identical"), resident set at 10 000 tasks at most
+//! 64 MiB, and OS threads bounded by a constant far below the fleet size
+//! at every point.
 
 use std::time::Instant;
 
 use workloads::fleet_scale::proc_status;
 use workloads::sched_scale::{os_threads, run_sched_scale, CARRIER_POOL};
+
+/// Resident-set bound at the largest fleet.
+const MAX_RSS_MIB: f64 = 64.0;
 
 const FLEETS: [usize; 5] = [100, 300, 1_000, 3_000, 10_000];
 const ROUNDS: usize = 3;
@@ -29,7 +35,6 @@ struct Point {
     rss_kib: Option<u64>,
     peak_os_threads: Option<usize>,
     switches: u64,
-    event_polls: u64,
     peak_heap_depth: usize,
 }
 
@@ -37,7 +42,10 @@ fn measure(sim_threads: usize) -> Point {
     let t = Instant::now();
     let out = run_sched_scale(sim_threads, ROUNDS, false);
     let wall = t.elapsed();
-    assert_eq!(out.stats.event_spawns as usize, sim_threads);
+    assert_eq!(
+        out.stats.carrier_spawns as usize,
+        sim_threads + CARRIER_POOL
+    );
     Point {
         sim_threads,
         wall_ms: wall.as_secs_f64() * 1e3,
@@ -45,7 +53,6 @@ fn measure(sim_threads: usize) -> Point {
         rss_kib: proc_status("VmRSS"),
         peak_os_threads: out.peak_os_threads,
         switches: out.stats.switches,
-        event_polls: out.stats.event_polls,
         peak_heap_depth: out.stats.peak_heap_depth,
     }
 }
@@ -67,12 +74,12 @@ fn main() {
     let points: Vec<Point> = FLEETS.iter().map(|&n| measure(n)).collect();
 
     println!(
-        "{:>10} {:>12} {:>14} {:>12} {:>10} {:>12} {:>12} {:>10}",
-        "sim thr", "wall ms", "per-task us", "RSS MiB", "OS thr", "switches", "polls", "heap peak"
+        "{:>10} {:>12} {:>14} {:>12} {:>10} {:>12} {:>10}",
+        "sim thr", "wall ms", "per-task us", "RSS MiB", "OS thr", "switches", "heap peak"
     );
     for p in &points {
         println!(
-            "{:>10} {:>12.1} {:>14.2} {:>12} {:>10} {:>12} {:>12} {:>10}",
+            "{:>10} {:>12.1} {:>14.2} {:>12} {:>10} {:>12} {:>10}",
             p.sim_threads,
             p.wall_ms,
             p.per_task_us,
@@ -81,7 +88,6 @@ fn main() {
             p.peak_os_threads
                 .map_or("n/a".to_string(), |t| t.to_string()),
             p.switches,
-            p.event_polls,
             p.peak_heap_depth,
         );
     }
@@ -109,6 +115,9 @@ fn main() {
         ),
         flat,
     );
+    let rss_ok = last
+        .rss_kib
+        .is_none_or(|k| k as f64 / 1024.0 <= MAX_RSS_MIB);
     let bounded = points
         .iter()
         .all(|p| p.peak_os_threads.is_none_or(|t| t < 64));
@@ -136,13 +145,17 @@ fn main() {
                 "rss_kib": p.rss_kib,
                 "peak_os_threads": p.peak_os_threads,
                 "switches": p.switches,
-                "event_polls": p.event_polls,
                 "peak_heap_depth": p.peak_heap_depth,
             })).collect::<Vec<_>>(),
             "per_task_flat": flat,
+            "rss_bounded": rss_ok,
             "os_threads_bounded": bounded,
         }),
     );
     assert!(flat, "per-task overhead grew superlinearly");
+    assert!(
+        rss_ok,
+        "resident set at 10k tasks exceeded {MAX_RSS_MIB} MiB"
+    );
     assert!(bounded, "OS-thread count scaled with the simulated fleet");
 }

@@ -19,9 +19,9 @@
 //! * [`reduce_job_sessions_tree`] — host-side, fanning each tree level
 //!   across OS threads (`std::thread::scope`), for callers that want the
 //!   answer now;
-//! * [`spawn_tree_reduce`] — a simrt *event task* that performs one tree
-//!   level per poll and charges the level's modeled parallel cost
-//!   (`max` over its combines, not their sum) as virtual time, so a
+//! * [`spawn_tree_reduce`] — a simulated thread that performs one tree
+//!   level at a time and sleeps the level's modeled parallel cost
+//!   (`max` over its combines, not their sum) in virtual time, so a
 //!   simulated job's reduce wall time grows ~O(log N) while a flat fold's
 //!   would grow O(N). The fleet bench gates on exactly this ratio.
 
@@ -32,7 +32,7 @@ use std::time::Duration;
 use darshan_sim::reduce::FoldMap;
 use darshan_sim::{DxtSegment, PosixRecord, StdioRecord};
 use parking_lot::Mutex;
-use simrt::{EventCx, EventHandle, EventPoll, Sim};
+use simrt::Sim;
 
 use crate::analysis::{analyze, per_file, SnapshotDiff};
 use crate::job::{JobReport, RankSession};
@@ -336,36 +336,30 @@ pub fn reduce_job_sessions_tree(
     tree.finish(sessions, world_size)
 }
 
-/// Handle to an in-flight [`spawn_tree_reduce`] event task; the outcome
-/// appears after the simulation has run the task to completion.
+/// Handle to an in-flight [`spawn_tree_reduce`]; the outcome appears
+/// after the simulation has run the reduction to completion.
 pub struct TreeReduceHandle {
     slot: Arc<Mutex<Option<(JobReport, TreeReduceStats)>>>,
-    handle: EventHandle,
 }
 
 impl TreeReduceHandle {
-    /// The finished report and stats, once the task completed.
+    /// The finished report and stats, once the reduction completed.
     pub fn take(&self) -> Option<(JobReport, TreeReduceStats)> {
         self.slot.lock().take()
     }
-
-    /// The underlying event-task handle.
-    pub fn event_handle(&self) -> &EventHandle {
-        &self.handle
-    }
 }
 
-/// Run the tree reduction as a simrt event task: one tree level per poll,
-/// each level charging its modeled *parallel* cost (the slowest combine of
-/// the level — combines of one level are independent and run concurrently
-/// on a real cluster) as virtual time. A 1k-rank reduce is then ~10 level
-/// charges on the calendar instead of 1k serial merges — the fleet bench's
-/// reduce-time curve measures exactly this task. A single session finishes
-/// on the first poll and charges nothing.
+/// Run the tree reduction as a simulated thread: one tree level at a
+/// time, each level sleeping its modeled *parallel* cost (the slowest
+/// combine of the level — combines of one level are independent and run
+/// concurrently on a real cluster) in virtual time. A 1k-rank reduce is
+/// then ~10 level charges on the calendar instead of 1k serial merges —
+/// the fleet bench's reduce-time curve measures exactly this task. A
+/// single session charges nothing.
 ///
 /// # Panics
 ///
-/// Here, not inside a later poll, if `sessions` is empty or
+/// Here, not inside the simulation, if `sessions` is empty or
 /// `config.arity < 2`.
 pub fn spawn_tree_reduce(
     sim: &Sim,
@@ -376,29 +370,18 @@ pub fn spawn_tree_reduce(
     check_input(&sessions, &config);
     let slot: Arc<Mutex<Option<(JobReport, TreeReduceStats)>>> = Arc::new(Mutex::new(None));
     let out = slot.clone();
-    let mut tree: Option<Tree> = None;
-    let handle = sim.spawn_event("tree-reduce", move |_cx: &mut EventCx| {
-        // Event-task polls run inline on the scheduler, so the host work
-        // stays serial here while the *virtual* charge models each
-        // level's combines running concurrently.
-        let charge = match tree.as_mut() {
-            Some(t) => t.step(config.arity, false),
-            None => {
-                let (t, leaf_cost) = Tree::new(&sessions);
-                tree = Some(t);
-                leaf_cost
-            }
-        };
-        match charge {
-            Some(cost) => EventPoll::Sleep(cost),
-            None => {
-                let t = tree.take().expect("leaves are built on the first poll");
-                *out.lock() = Some(t.finish(&sessions, world_size));
-                EventPoll::Done
-            }
+    sim.spawn("tree-reduce", move || {
+        // The host work stays serial on the simulation's thread, while
+        // the *virtual* charge models each level's combines running
+        // concurrently.
+        let (mut tree, mut charge) = Tree::new(&sessions);
+        while let Some(cost) = charge {
+            simrt::sleep(cost);
+            charge = tree.step(config.arity, false);
         }
+        *out.lock() = Some(tree.finish(&sessions, world_size));
     });
-    TreeReduceHandle { slot, handle }
+    TreeReduceHandle { slot }
 }
 
 #[cfg(test)]
@@ -450,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn lone_session_event_task_finishes_on_the_first_poll_for_free() {
+    fn lone_session_reduce_charges_no_virtual_time() {
         let sim = Sim::new();
         let single = session(0).report();
         let handle = spawn_tree_reduce(&sim, vec![session(0)], 1, TreeReduceConfig::default());
@@ -464,20 +447,20 @@ mod tests {
     }
 
     #[test]
-    fn event_task_and_host_entry_agree() {
+    fn simulated_and_host_entries_agree() {
         let sessions = || (0..5).map(session).collect::<Vec<_>>();
         let (host, host_stats) =
             reduce_job_sessions_tree(&sessions(), 6, &TreeReduceConfig::default());
         let sim = Sim::new();
         let handle = spawn_tree_reduce(&sim, sessions(), 6, TreeReduceConfig::default());
         sim.run();
-        let (event, event_stats) = handle.take().expect("finished");
+        let (sim_report, sim_stats) = handle.take().expect("finished");
         assert_eq!(
             serde_json::to_string(&host).unwrap(),
-            serde_json::to_string(&event).unwrap()
+            serde_json::to_string(&sim_report).unwrap()
         );
         assert_eq!(host.missing_ranks, vec![5]);
-        assert_eq!(host_stats.modeled, event_stats.modeled);
-        assert_eq!(sim.now().as_nanos() as u128, event_stats.modeled.as_nanos());
+        assert_eq!(host_stats.modeled, sim_stats.modeled);
+        assert_eq!(sim.now().as_nanos() as u128, sim_stats.modeled.as_nanos());
     }
 }

@@ -38,22 +38,20 @@ pub struct TfDarshanReport {
 }
 
 /// Serializable mirror of [`simrt::SchedStats`]: what the discrete-event
-/// scheduler did while producing the report — carrier context switches vs
-/// inline event-task polls, task counts per flavor, and run-calendar
-/// high-water marks. The scale experiments read these next to the I/O
-/// counters to show what simulated concurrency costs the scheduler.
+/// scheduler did while producing the report — context switches, fast-path
+/// advances, task counts, and run-calendar high-water marks. The scale
+/// experiments read these next to the I/O counters to show what simulated
+/// concurrency costs the scheduler. Reports written when simrt also had
+/// stackless event tasks carry two more counters (their polls and
+/// spawns); unknown keys are ignored on read.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedStatsReport {
     /// Carrier dispatches: each is a switch onto a carrier's stack.
     pub switches: u64,
     /// Fast-path time advances (sleeps that kept the carrier).
     pub fast_advances: u64,
-    /// Event-task polls (inline resumptions).
-    pub event_polls: u64,
     /// Carrier tasks spawned over the simulation's lifetime.
     pub carrier_spawns: u64,
-    /// Event tasks spawned over the simulation's lifetime.
-    pub event_spawns: u64,
     /// High-water mark of the run calendar (valid + stale entries).
     pub peak_heap_depth: u64,
     /// High-water mark of concurrently live tasks.
@@ -80,9 +78,7 @@ impl From<simrt::SchedStats> for SchedStatsReport {
         SchedStatsReport {
             switches: s.switches,
             fast_advances: s.fast_advances,
-            event_polls: s.event_polls,
             carrier_spawns: s.carrier_spawns,
-            event_spawns: s.event_spawns,
             peak_heap_depth: s.peak_heap_depth as u64,
             peak_live_tasks: s.peak_live_tasks as u64,
             heap_compactions: s.heap_compactions,
@@ -224,13 +220,8 @@ impl TfDarshanReport {
             let _ = writeln!(out, "\n-- scheduler --");
             let _ = writeln!(
                 out,
-                "tasks: {} carrier + {} event (peak live {}) | switches {} | fast advances {} | event polls {}",
-                s.carrier_spawns,
-                s.event_spawns,
-                s.peak_live_tasks,
-                s.switches,
-                s.fast_advances,
-                s.event_polls
+                "tasks: {} (peak live {}) | switches {} | fast advances {}",
+                s.carrier_spawns, s.peak_live_tasks, s.switches, s.fast_advances
             );
             let _ = writeln!(
                 out,
@@ -490,9 +481,7 @@ mod tests {
         r.scheduler = Some(SchedStatsReport {
             switches: 42,
             fast_advances: 7,
-            event_polls: 10_000,
-            carrier_spawns: 4,
-            event_spawns: 2_000,
+            carrier_spawns: 2_004,
             peak_heap_depth: 2_004,
             peak_live_tasks: 2_004,
             heap_compactions: 1,
@@ -500,7 +489,7 @@ mod tests {
         });
         let text = r.render_ascii();
         assert!(text.contains("-- scheduler --"));
-        assert!(text.contains("tasks: 4 carrier + 2000 event (peak live 2004)"));
+        assert!(text.contains("tasks: 2004 (peak live 2004) | switches 42 | fast advances 7"));
         assert!(text.contains("peak depth 2004 | compactions 1"));
         assert!(
             !text.contains("exploration:"),

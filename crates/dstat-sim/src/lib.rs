@@ -17,7 +17,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use probe::{EventKind, IoEvent, ProbeBus, ProbeSink, SinkId};
 use simrt::sync::Event;
-use simrt::{EventCx, EventPoll, Sim, SimTime, WakeReason};
+use simrt::{Sim, SimTime};
 use storage_sim::{CounterSnapshot, Device};
 
 /// Running totals of application `read`/`write` syscall bytes, fed from the
@@ -149,6 +149,27 @@ struct KeyedSpine {
     sink_id: SinkId,
 }
 
+/// One interval's syscall bytes per spine key, as `(key, bytes)`.
+type KeyedBytes = Vec<(u32, u64)>;
+
+/// The per-key `(read, write)` syscall byte deltas of `spines` since
+/// `prev`, which advances to the current totals.
+fn deltas(
+    spines: &Mutex<Vec<KeyedSpine>>,
+    prev: &mut HashMap<u32, (u64, u64)>,
+) -> (KeyedBytes, KeyedBytes) {
+    let (mut read, mut write) = (Vec::new(), Vec::new());
+    for s in spines.lock().iter() {
+        let r = s.counters.read_bytes.load(Ordering::Relaxed);
+        let w = s.counters.write_bytes.load(Ordering::Relaxed);
+        let p = prev.entry(s.key).or_insert((0, 0));
+        read.push((s.key, r - p.0));
+        write.push((s.key, w - p.1));
+        *p = (r, w);
+    }
+    (read, write)
+}
+
 /// A running dstat instance.
 pub struct Dstat {
     samples: Arc<Mutex<Vec<DstatSample>>>,
@@ -162,11 +183,10 @@ pub struct Dstat {
 }
 
 impl Dstat {
-    /// Start sampling `devices` every `interval` on a background *event
-    /// task* — a timer-driven state machine on the simulation calendar, so
-    /// a fleet of samplers costs heap entries, not OS threads. Call
-    /// [`Dstat::stop`] before the simulation ends (a sampler never stops by
-    /// itself, exactly like the real tool).
+    /// Start sampling `devices` every `interval` on a background simulated
+    /// thread. Call [`Dstat::stop`] before the simulation ends (a sampler
+    /// never stops by itself, exactly like the real tool); the sampler
+    /// ends at the stop instant, not at its next tick.
     pub fn spawn(sim: &Sim, devices: Vec<Arc<Device>>, interval: Duration) -> Dstat {
         assert!(!devices.is_empty(), "dstat needs at least one device");
         assert!(!interval.is_zero());
@@ -182,66 +202,35 @@ impl Dstat {
             let syscalls = syscalls.clone();
             let rank_spines = rank_spines.clone();
             let shard_spines = shard_spines.clone();
-            // Sampler state machine. Each poll is one wakeup of the old
-            // carrier loop: a timeout firing means the interval elapsed
-            // (take a sample), any other wake re-checks the stop flag. The
-            // virtual-time trace is identical to the carrier version's —
-            // samples land at t = k·interval until stop is set.
-            let mut first = true;
-            let mut prev: Option<Vec<CounterSnapshot>> = None;
-            let mut prev_sys_r = 0u64;
-            let mut prev_sys_w = 0u64;
-            // Per-rank previous totals; a spine attached mid-run starts
-            // from zero, so its first column covers everything it saw.
-            let mut prev_rank: HashMap<u32, (u64, u64)> = HashMap::new();
-            let mut prev_shard: HashMap<u32, (u64, u64)> = HashMap::new();
-            sim.spawn_event("dstat", move |cx: &mut EventCx| {
-                if stop.poll_wait() {
-                    return EventPoll::Done;
-                }
-                if first {
-                    prev = Some(devices.iter().map(|d| d.snapshot()).collect());
-                    prev_sys_r = syscalls.read_bytes.load(Ordering::Relaxed);
-                    prev_sys_w = syscalls.write_bytes.load(Ordering::Relaxed);
-                    first = false;
-                } else if cx.wake_reason() == WakeReason::Timeout {
+            // Samples land at t = k·interval until stop is set.
+            sim.spawn("dstat", move || {
+                let mut prev: Vec<CounterSnapshot> = devices.iter().map(|d| d.snapshot()).collect();
+                let mut prev_sys_r = syscalls.read_bytes.load(Ordering::Relaxed);
+                let mut prev_sys_w = syscalls.write_bytes.load(Ordering::Relaxed);
+                // Per-rank previous totals; a spine attached mid-run starts
+                // from zero, so its first column covers everything it saw.
+                let mut prev_rank: HashMap<u32, (u64, u64)> = HashMap::new();
+                let mut prev_shard: HashMap<u32, (u64, u64)> = HashMap::new();
+                while !stop.wait_timeout(interval) {
                     let cur: Vec<CounterSnapshot> = devices.iter().map(|d| d.snapshot()).collect();
                     // Emitting threads flushed their spine buffers when they
                     // descheduled (only one simulated thread runs at a time),
                     // so the accumulator is complete up to this instant.
                     let sys_r = syscalls.read_bytes.load(Ordering::Relaxed);
                     let sys_w = syscalls.write_bytes.load(Ordering::Relaxed);
-                    let mut rank_read_bytes = Vec::new();
-                    let mut rank_write_bytes = Vec::new();
-                    for rs in rank_spines.lock().iter() {
-                        let r = rs.counters.read_bytes.load(Ordering::Relaxed);
-                        let w = rs.counters.write_bytes.load(Ordering::Relaxed);
-                        let p = prev_rank.entry(rs.key).or_insert((0, 0));
-                        rank_read_bytes.push((rs.key, r - p.0));
-                        rank_write_bytes.push((rs.key, w - p.1));
-                        *p = (r, w);
-                    }
-                    let mut shard_read_bytes = Vec::new();
-                    let mut shard_write_bytes = Vec::new();
-                    for ss in shard_spines.lock().iter() {
-                        let r = ss.counters.read_bytes.load(Ordering::Relaxed);
-                        let w = ss.counters.write_bytes.load(Ordering::Relaxed);
-                        let p = prev_shard.entry(ss.key).or_insert((0, 0));
-                        shard_read_bytes.push((ss.key, r - p.0));
-                        shard_write_bytes.push((ss.key, w - p.1));
-                        *p = (r, w);
-                    }
-                    let prev_snap = prev.as_ref().expect("initialized on first poll");
+                    let (rank_read_bytes, rank_write_bytes) = deltas(&rank_spines, &mut prev_rank);
+                    let (shard_read_bytes, shard_write_bytes) =
+                        deltas(&shard_spines, &mut prev_shard);
                     let sample = DstatSample {
-                        t: cx.now(),
+                        t: simrt::now(),
                         read_bytes: cur
                             .iter()
-                            .zip(prev_snap)
+                            .zip(&prev)
                             .map(|(c, p)| c.bytes_read - p.bytes_read)
                             .collect(),
                         write_bytes: cur
                             .iter()
-                            .zip(prev_snap)
+                            .zip(&prev)
                             .map(|(c, p)| c.bytes_written - p.bytes_written)
                             .collect(),
                         sys_read_bytes: sys_r - prev_sys_r,
@@ -251,13 +240,10 @@ impl Dstat {
                         shard_read_bytes,
                         shard_write_bytes,
                     };
-                    prev = Some(cur);
+                    prev = cur;
                     prev_sys_r = sys_r;
                     prev_sys_w = sys_w;
                     samples.lock().push(sample);
-                }
-                EventPoll::Block {
-                    deadline: Some(cx.now() + interval),
                 }
             });
         }
@@ -600,5 +586,38 @@ mod tests {
         sim.run();
         assert!(sim.now() < SimTime::from_secs_f64(3.1));
         assert_eq!(dstat.samples().len(), 2);
+    }
+
+    #[test]
+    fn stop_between_ticks_keeps_samples_and_final_clock() {
+        // Three reads, each followed by 0.9 s idle, then stop at about
+        // 2.71 s: two full intervals are sampled, and the run ends at the
+        // stop, not at the 3 s tick. The figures match the earlier
+        // stackless sampler's.
+        let sim = Sim::new();
+        let dev = Device::new(DeviceSpec::optane("nvme0"));
+        let dstat = Dstat::spawn(&sim, vec![dev.clone()], Duration::from_secs(1));
+        let stop = dstat.stop.clone();
+        sim.spawn("main", move || {
+            for mib in [8u64, 16, 4] {
+                dev.transfer(Dir::Read, 0, mib << 20).unwrap();
+                simrt::sleep(Duration::from_millis(900));
+            }
+            stop.set();
+        });
+        sim.run();
+        let got: Vec<(u64, Vec<u64>, Vec<u64>)> = dstat
+            .samples()
+            .iter()
+            .map(|s| (s.t.as_nanos(), s.read_bytes.clone(), s.write_bytes.clone()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1_000_000_000, vec![24 << 20], vec![0]),
+                (2_000_000_000, vec![4 << 20], vec![0]),
+            ]
+        );
+        assert_eq!(sim.now().as_nanos(), 2_711_230_000);
     }
 }

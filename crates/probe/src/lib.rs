@@ -3,11 +3,11 @@
 //!
 //! The terminal libc/stdio bindings in `posix-sim` emit exactly one
 //! [`IoEvent`] per completed operation into a **per-sim-thread ring
-//! buffer** — a masked slot write, no allocation, no lock shared with any
-//! consumer. Event targets are interned [`PathId`]s (see [`intern`]), so
-//! an event is `Copy`-cheap to construct: no `Arc` refcount traffic on
-//! the hot path. Rings are drained in batches at deterministic points
-//! only:
+//! buffer** — a push onto a `Vec` that keeps its capacity across flushes,
+//! no lock shared with any consumer. Event targets are interned
+//! [`PathId`]s (see [`intern`]), so an event is `Copy`-cheap to construct:
+//! no `Arc` refcount traffic on the hot path. Rings are drained in
+//! batches at deterministic points only:
 //!
 //! * whenever the simulated thread actually context-switches (simrt's
 //!   switch hook — fast-path virtual-time advances do *not* flush),
@@ -386,7 +386,7 @@ impl ProbeBus {
         let overflow = RINGS.with(|r| {
             let mut reg = r.borrow_mut();
             let ring = reg.ring_for(&self.inner);
-            if ring.is_full() {
+            if ring.len() == RING_CAPACITY {
                 Some(event)
             } else {
                 ring.push(event);
@@ -409,7 +409,7 @@ impl ProbeBus {
             let mut reg = r.borrow_mut();
             let ring = reg.ring_for(&self.inner);
             let mut out = Vec::with_capacity(ring.len() + 1);
-            ring.drain_into(&mut out);
+            out.append(ring);
             out
         });
         batch.push(event);
@@ -440,58 +440,13 @@ impl ProbeBus {
 }
 
 /// Events a sim thread can buffer between flush points before the ring
-/// delivers itself inline. Power of two: slot indexing is a mask, not a
-/// division.
+/// delivers itself inline.
 pub const RING_CAPACITY: usize = 1024;
-const RING_MASK: usize = RING_CAPACITY - 1;
 
-/// Fixed-capacity single-threaded ring. `head`/`tail` are free-running
-/// counters masked into the slot array; `tail - head` is the live length.
-struct Ring {
-    slots: Box<[Option<IoEvent>]>,
-    head: usize,
-    tail: usize,
-}
-
-impl Ring {
-    fn new() -> Self {
-        Ring {
-            slots: std::iter::repeat_with(|| None)
-                .take(RING_CAPACITY)
-                .collect(),
-            head: 0,
-            tail: 0,
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.tail.wrapping_sub(self.head)
-    }
-
-    #[inline]
-    fn is_full(&self) -> bool {
-        self.len() == RING_CAPACITY
-    }
-
-    #[inline]
-    fn push(&mut self, event: IoEvent) {
-        debug_assert!(!self.is_full());
-        self.slots[self.tail & RING_MASK] = Some(event);
-        self.tail = self.tail.wrapping_add(1);
-    }
-
-    fn drain_into(&mut self, out: &mut Vec<IoEvent>) {
-        while self.head != self.tail {
-            out.push(
-                self.slots[self.head & RING_MASK]
-                    .take()
-                    .expect("occupied ring slot"),
-            );
-            self.head = self.head.wrapping_add(1);
-        }
-    }
-}
+/// One bus's buffered events on one thread, oldest first. Every flush
+/// drains it whole, so it never wraps; it grows only as far as the most
+/// events taken between two flush points, at most [`RING_CAPACITY`].
+type Ring = Vec<IoEvent>;
 
 /// Per-OS-thread (bus → ring) registry. One entry per bus that emitted on
 /// this thread: a process's own bus and its shard or job spines, for every
@@ -532,7 +487,7 @@ impl Registry {
             bus.ring_hint.store(idx, Ordering::Relaxed);
             idx
         };
-        if self.entries[idx].1.len() == 0 {
+        if self.entries[idx].1.is_empty() {
             self.pending.push(idx);
         }
         &mut self.entries[idx].1
@@ -548,9 +503,9 @@ impl Registry {
         let mut out = Vec::with_capacity(pending.len());
         for idx in pending {
             let (bus, ring) = &mut self.entries[idx];
-            if ring.len() > 0 {
+            if !ring.is_empty() {
                 let mut batch = Vec::with_capacity(ring.len());
-                ring.drain_into(&mut batch);
+                batch.append(ring);
                 if let Some(bus) = bus.upgrade() {
                     out.push((bus, batch));
                 }
@@ -614,10 +569,6 @@ pub fn flush_current_thread() {
 pub fn discard_thread_rings() {
     RINGS.with(|r| {
         let mut reg = r.borrow_mut();
-        for (_, ring) in reg.entries.iter_mut() {
-            let mut dropped = Vec::new();
-            ring.drain_into(&mut dropped);
-        }
         reg.entries.clear();
         reg.pending.clear();
     });

@@ -9,17 +9,14 @@
 //! ## Model
 //!
 //! * A [`Sim`] owns a virtual clock and a calendar of runnable tasks.
-//! * [`Sim::spawn`] creates a *carrier* simulated thread, a stackful
-//!   coroutine with a real stack of its own, for code that must look like
-//!   blocking POSIX. Exactly one simulated thread executes at any moment;
-//!   control transfers on [`sleep`], [`yield_now`], or blocking in [`sync`]
+//! * [`Sim::spawn`] creates a simulated thread: a *carrier*, a stackful
+//!   coroutine with a real stack of its own, so code reads like blocking
+//!   POSIX. Exactly one simulated thread executes at any moment; control
+//!   transfers on [`sleep`], [`yield_now`], or blocking in [`sync`]
 //!   primitives, and a transfer is a register swap in user space.
 //!   Interleaving is by (virtual time, FIFO sequence) — fully deterministic.
-//! * [`Sim::spawn_event`] creates an *event task*: a stackless state machine
-//!   ([`EventTask`]) resumed inline by the discrete-event loop — no stack,
-//!   so tens of thousands of samplers, barrier crossers and reduction
-//!   steps cost a heap entry each. Both flavors share one calendar, one id
-//!   space, and identical ordering semantics.
+//!   Stacks are pooled and touched lazily, so tens of thousands of timers,
+//!   samplers and barrier crossers cost a few KiB of resident stack each.
 //! * [`Sim::run`] drives the calendar until all simulated threads finish,
 //!   propagating panics and diagnosing virtual-time deadlocks. Every task
 //!   of the sim runs on the thread that calls it; a simulation starts no
@@ -61,8 +58,7 @@ mod time;
 pub use sched::{
     block, current_task, current_task_name, emit_sync, new_sync_obj_id, now, on_sim_thread,
     set_context_switch_hook, set_task_word, set_wait_context, sleep, sleep_until, task_word,
-    try_now, wake, yield_now, Candidate, DecisionPoint, EventCx, EventHandle, EventPoll, EventTask,
-    JoinHandle, SchedStats, SchedulePolicy, Sim, SyncEvent, SyncObserver, SyncOp, TaskId,
-    WakeReason,
+    try_now, wake, yield_now, Candidate, DecisionPoint, JoinHandle, SchedStats, SchedulePolicy,
+    Sim, SyncEvent, SyncObserver, SyncOp, TaskId, WakeReason,
 };
 pub use time::{dur, SimTime};

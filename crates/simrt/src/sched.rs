@@ -2,46 +2,36 @@
 //!
 //! # Execution model
 //!
-//! A [`Sim`] hosts any number of *simulated threads* in two flavors behind
-//! one calendar:
-//!
-//! * **Carrier tasks** ([`Sim::spawn`]) are stackful coroutines (see
-//!   [`crate::coro`]), all run on the OS thread that calls [`Sim::run`].
-//!   User code reads like ordinary blocking code (plain POSIX-shaped calls
-//!   on a real stack), which is what the GOT-patched instrumentation
-//!   wrappers need.
-//! * **Event tasks** ([`Sim::spawn_event`]) are state machines resumed
-//!   inline by the discrete-event loop — no OS thread, no stack. Each
-//!   resumption is one [`EventTask::poll`] call that returns what the task
-//!   does next ([`EventPoll`]). Samplers, barrier crossers and reduction
-//!   steps scale to tens of thousands of these for the cost of a heap
-//!   entry each.
+//! A [`Sim`] hosts any number of *simulated threads*. Each one is a
+//! carrier task ([`Sim::spawn`]): a stackful coroutine (see
+//! [`crate::coro`]) run on the OS thread that calls [`Sim::run`]. User
+//! code reads like ordinary blocking code (plain POSIX-shaped calls on a
+//! real stack), which is what the GOT-patched instrumentation wrappers
+//! need. Stacks are pooled and touched lazily, so ten thousand simulated
+//! threads cost ten thousand mostly-untouched stack mappings and no OS
+//! thread.
 //!
 //! **Exactly one simulated thread executes at any moment.** The scheduler
-//! is a priority-queue discrete-event core: a single dispatch loop pops
-//! `(wake_time, seq)` from the run calendar, advances the clock, and runs
-//! the task — switching to a carrier's stack until it switches back, or
-//! polling an event task right there in the loop, both on the thread in
-//! [`Sim::run`]. Equal wake times run in FIFO spawn/push order, which
-//! makes the whole simulation deterministic: same program, same schedule,
-//! same virtual timestamps, on every run, regardless of the carrier/event
-//! mix.
+//! is a priority-queue discrete-event core: the run loop pops
+//! `(wake_time, seq)` from the run calendar, advances the clock, and
+//! switches to the task's stack until it switches back. Equal wake times
+//! run in FIFO spawn/push order, which makes the whole simulation
+//! deterministic: same program, same schedule, same virtual timestamps,
+//! on every run.
 //!
 //! The one-runnable-at-a-time invariant also means synchronization
 //! primitives built on the scheduler need no atomicity tricks: between a
 //! task's decision to block and the block itself, no other simulated
-//! task can run. Event tasks get the same guarantee: a waiter-list
-//! registration made during a poll is visible before any other task runs.
+//! task can run.
 //!
 //! # Why not async?
 //!
 //! tf-Darshan instruments *synchronous* POSIX calls made from a thread pool;
 //! the instrumentation, the GOT patching, and the Darshan wrappers must look
 //! like their real counterparts (plain function calls on a thread's stack).
-//! Stackful carriers preserve that shape exactly — and the event-task flavor
-//! exists precisely for the code that does *not* need a stack (pure
-//! coordination: timers, tickers, barrier waiters), so scale experiments
-//! are not capped by stack memory.
+//! Stackful carriers preserve that shape exactly, and a switch between them
+//! is a register swap in user space, so pure coordination tasks (timers,
+//! samplers, barrier crossers) run as carriers too.
 
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -57,9 +47,8 @@ use crate::coro::{self, Coroutine};
 use crate::time::SimTime;
 
 /// Process-wide hook fired just before control *genuinely* hands over
-/// (slow-path sleep, yield, block, task finish — and after every event-task
-/// poll, which is a resumption boundary of exactly the same kind). Fast-path
-/// virtual-time advances — where the sleeper keeps the carrier — do not fire
+/// (slow-path sleep, yield, block, task finish). Fast-path virtual-time
+/// advances — where the sleeper keeps the carrier — do not fire
 /// it, so a hook installed here runs only at real context switches.
 ///
 /// Instrumentation layers use this to drain per-thread event buffers at
@@ -107,8 +96,7 @@ pub enum SyncOp {
     /// The current task completed a join on simulated thread `obj`.
     Join,
     /// The current task is about to finish (its closure returned or
-    /// panicked, or its event machine returned [`EventPoll::Done`]). Its
-    /// clock is final after this event.
+    /// panicked). Its clock is final after this event.
     Finish,
 }
 
@@ -131,8 +119,8 @@ pub struct SyncEvent {
 }
 
 /// A consumer of [`SyncEvent`]s. Registered per-[`Sim`]; called while the
-/// task performing the operation runs (a carrier, or an event task
-/// mid-poll), which may hold primitive-internal locks — the observer must not sleep, block, yield, or touch scheduler
+/// task performing the operation runs, which may hold primitive-internal
+/// locks — the observer must not sleep, block, yield, or touch scheduler
 /// state (reading the event's fields is always safe).
 pub trait SyncObserver: Send + Sync {
     /// Observe one synchronization event.
@@ -187,8 +175,7 @@ pub fn new_sync_obj_id() -> u64 {
 /// Emit a synchronization event for the calling simulated thread. No-op when
 /// the caller is not a simulated thread (host-side construction/drop) or the
 /// task's [`Sim`] has no observer registered. Used by [`crate::sync`]; public
-/// so higher layers can mark custom ordering edges. During an event-task
-/// poll, events are attributed to the event task, not the thread pumping it.
+/// so higher layers can mark custom ordering edges.
 pub fn emit_sync(op: SyncOp, obj: u64, label: &Arc<str>) {
     CURRENT.with(|c| {
         let b = c.borrow();
@@ -214,8 +201,7 @@ pub fn emit_sync(op: SyncOp, obj: u64, label: &Arc<str>) {
 
 /// Describe what the calling simulated thread is about to block on, for the
 /// deadlock wait-for dump ("recv on chan#3", "mutex#1 'ckpt' held by t2").
-/// Cleared automatically when the thread resumes (for event tasks: at their
-/// next poll). No-op off sim threads.
+/// Cleared automatically when the thread resumes. No-op off sim threads.
 pub fn set_wait_context(ctx: impl Into<String>) {
     let ctx = ctx.into();
     CURRENT.with(|c| {
@@ -247,125 +233,22 @@ pub enum WakeReason {
     Timeout,
 }
 
-// ---------------------------------------------------------------------------
-// Event tasks
-// ---------------------------------------------------------------------------
-
-/// What an event task does next, returned from [`EventTask::poll`].
-#[derive(Debug)]
-pub enum EventPoll {
-    /// The task is finished; its machine is dropped and joiners wake.
-    Done,
-    /// Advance virtual time by the given duration, then poll again.
-    Sleep(Duration),
-    /// Poll again at the given virtual instant (clamped to now if past).
-    SleepUntil(SimTime),
-    /// Deschedule until another task [`wake`]s this one — the event-task
-    /// analogue of [`block`]. Register in a primitive's wait list first
-    /// (e.g. via the `poll_*` methods in [`crate::sync`]); the optional
-    /// deadline bounds the wait, reported as [`WakeReason::Timeout`] at the
-    /// next poll.
-    Block {
-        /// Latest instant to resume regardless of notification.
-        deadline: Option<SimTime>,
-    },
-    /// Re-enter the calendar at the current time, letting equal-time peers
-    /// run first.
-    Yield,
-}
-
-/// Per-poll context handed to [`EventTask::poll`].
-pub struct EventCx {
-    sim: Sim,
-    tid: TaskId,
-    now: SimTime,
-    wake_reason: WakeReason,
-}
-
-impl EventCx {
-    /// The simulation this task belongs to (e.g. to spawn follow-up tasks).
-    pub fn sim(&self) -> &Sim {
-        &self.sim
-    }
-
-    /// This event task's id.
-    pub fn task(&self) -> TaskId {
-        self.tid
-    }
-
-    /// Virtual time of this poll.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Why the task was resumed: [`WakeReason::Timeout`] when a
-    /// [`EventPoll::Block`] deadline fired, [`WakeReason::Notified`]
-    /// otherwise (first poll, sleeps, yields, and wakes all count as
-    /// notified).
-    pub fn wake_reason(&self) -> WakeReason {
-        self.wake_reason
-    }
-}
-
-/// A lightweight simulated thread: a state machine resumed inline by the
-/// discrete-event loop. No OS thread, no stack — ten thousand of these cost
-/// ten thousand heap entries.
-///
-/// Rules of the poll:
-///
-/// * `poll` runs as the current simulated task: [`emit_sync`], [`wake`],
-///   [`now`], [`set_wait_context`], and spawning are all attributed to it.
-/// * `poll` must **not** call the inline-blocking APIs ([`sleep`],
-///   [`yield_now`], [`block`], blocking `sync` methods) — return the
-///   matching [`EventPoll`] instead. Violations panic, poisoning the sim
-///   with a message naming the task.
-/// * Any lock guard taken during a poll must be dropped before the poll
-///   returns: an event task cannot hold a lock across polls.
-/// * A panic inside `poll` finishes the task and poisons the simulation,
-///   exactly like a carrier panic.
-pub trait EventTask: Send {
-    /// Resume the task; runs at the task's wake time on the thread driving
-    /// the scheduler.
-    fn poll(&mut self, cx: &mut EventCx) -> EventPoll;
-}
-
-/// Closures are event tasks: each call is one poll.
-impl<F> EventTask for F
-where
-    F: FnMut(&mut EventCx) -> EventPoll + Send,
-{
-    fn poll(&mut self, cx: &mut EventCx) -> EventPoll {
-        self(cx)
-    }
-}
-
-/// Which execution flavor a task uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Flavor {
-    /// Stackful coroutine, switched to by the run loop.
-    Carrier,
-    /// Stackless state machine, polled inline by the dispatch loop.
-    Event,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum TaskState {
     /// Has a valid entry in the run heap.
     Ready,
-    /// Currently executing (on its carrier stack, or mid-poll).
+    /// Currently executing on its carrier stack.
     Running,
     /// Waiting for a wake; `timed` blocks also hold a heap entry for their
     /// deadline.
     Blocked,
-    /// The task finished (closure returned/panicked, or the event machine
-    /// returned [`EventPoll::Done`]).
+    /// The task finished (its closure returned or panicked).
     Finished,
 }
 
 struct TaskInfo {
     name: String,
     state: TaskState,
-    flavor: Flavor,
     /// Generation counter: bumped on every transition. Heap entries carry
     /// the generation at push time; entries whose generation no longer
     /// matches are stale and skipped on pop (and lazily compacted away,
@@ -381,11 +264,8 @@ struct TaskInfo {
     /// What the task is blocked on, set by sync primitives via
     /// [`set_wait_context`]; dumped by the deadlock diagnostic.
     wait_ctx: Option<String>,
-    /// The state machine of an event task, parked here between polls.
-    /// Taken out (so the scheduler lock can be released) while polling.
-    machine: Option<Box<dyn EventTask>>,
-    /// A carrier's body until its first dispatch, when the run loop puts
-    /// it on a coroutine. `None` for event tasks.
+    /// The carrier's body until its first dispatch, when the run loop puts
+    /// it on a coroutine.
     body: Option<CarrierBody>,
 }
 
@@ -426,12 +306,11 @@ pub struct SchedStats {
     pub switches: u64,
     /// Fast-path time advances (sleeps that kept the carrier).
     pub fast_advances: u64,
-    /// Event-task polls (inline resumptions; the DES loop's unit of work).
+    /// Always 0: every task is a carrier, and nothing is polled inline.
+    /// Kept so readers of the scheduler counters still compile.
     pub event_polls: u64,
     /// Carrier tasks spawned over the simulation's lifetime.
     pub carrier_spawns: u64,
-    /// Event tasks spawned over the simulation's lifetime.
-    pub event_spawns: u64,
     /// High-water mark of the run calendar (valid + stale entries).
     pub peak_heap_depth: usize,
     /// High-water mark of concurrently live tasks.
@@ -470,17 +349,6 @@ struct SchedState {
     /// First panic message observed in any simulated task; poisons the sim.
     poison: Option<String>,
     stats: SchedStats,
-}
-
-/// What `dispatch_next` produced.
-enum Dispatch {
-    /// A carrier was marked running; the run loop must switch to it. Its
-    /// body comes along on the first dispatch.
-    Carrier(TaskId, Option<CarrierBody>),
-    /// An event task was marked running; the caller must poll its machine.
-    Event(Box<dyn EventTask>),
-    /// Nothing runnable.
-    Idle,
 }
 
 pub(crate) struct SimInner {
@@ -564,12 +432,17 @@ impl SimInner {
         st.stats.heap_compactions += 1;
     }
 
-    /// Pop the next valid entry and make its task Running. Caller must hold
-    /// the lock; `running` must be `None`. With a [`SchedulePolicy`]
-    /// installed, every set of dispatchable entries sharing the earliest
-    /// instant becomes a decision point and the policy picks the winner;
-    /// otherwise the FIFO (wake, seq) pop order decides, exactly as before.
-    fn dispatch_next(inner: &SimInner, st: &mut SchedState) -> Dispatch {
+    /// Pop the next valid entry and make its task Running; `None` when
+    /// nothing is runnable. The carrier's body comes along on its first
+    /// dispatch. Caller must hold the lock; `running` must be `None`. With
+    /// a [`SchedulePolicy`] installed, every set of dispatchable entries
+    /// sharing the earliest instant becomes a decision point and the
+    /// policy picks the winner; otherwise the FIFO (wake, seq) pop order
+    /// decides, exactly as before.
+    fn dispatch_next(
+        inner: &SimInner,
+        st: &mut SchedState,
+    ) -> Option<(TaskId, Option<CarrierBody>)> {
         debug_assert!(st.running.is_none());
         while let Some(e) = st.heap.pop() {
             let Some(info) = st.tasks.get(&e.tid) else {
@@ -606,21 +479,11 @@ impl SimInner {
             debug_assert!(e.wake >= st.now, "time must not run backwards");
             st.now = st.now.max(e.wake);
             st.running = Some(e.tid);
-            let info = st.tasks.get_mut(&e.tid).expect("just seen");
-            match info.flavor {
-                Flavor::Carrier => {
-                    st.stats.switches += 1;
-                    return Dispatch::Carrier(e.tid, info.body.take());
-                }
-                Flavor::Event => {
-                    st.stats.event_polls += 1;
-                    return Dispatch::Event(
-                        info.machine.take().expect("event task machine present"),
-                    );
-                }
-            }
+            st.stats.switches += 1;
+            let body = st.tasks.get_mut(&e.tid).expect("just seen").body.take();
+            return Some((e.tid, body));
         }
-        Dispatch::Idle
+        None
     }
 
     /// With a [`SchedulePolicy`] installed: collect every other
@@ -675,9 +538,8 @@ impl SimInner {
 
     /// Detect deadlock: simulation started, nothing running, nothing
     /// runnable, yet live tasks remain. The panic message dumps the
-    /// wait-for graph: every blocked task (carrier **and** event flavor),
-    /// what it is waiting on (the context recorded by [`set_wait_context`]),
-    /// and who is joined on it.
+    /// wait-for graph: every blocked task, what it is waiting on (the
+    /// context recorded by [`set_wait_context`]), and who is joined on it.
     fn check_deadlock(st: &mut SchedState) {
         if st.started && st.running.is_none() && st.live > 0 && st.poison.is_none() {
             let mut ids: Vec<TaskId> = st
@@ -694,13 +556,9 @@ impl SimInner {
                     .wait_ctx
                     .as_deref()
                     .unwrap_or("<unknown: bare block()>");
-                let tag = match info.flavor {
-                    Flavor::Carrier => "",
-                    Flavor::Event => " [event]",
-                };
                 graph.push_str(&format!(
-                    "\n  {} ({}){}: blocked on {}",
-                    id, info.name, tag, waits_on
+                    "\n  {} ({}): blocked on {}",
+                    id, info.name, waits_on
                 ));
                 if !info.join_waiters.is_empty() {
                     let waiters: Vec<String> =
@@ -722,105 +580,16 @@ impl SimInner {
     }
 }
 
-/// The discrete-event dispatch loop. Pops the calendar and runs what comes
-/// out: event tasks are polled inline (scheduler lock released for the
-/// poll, [`run_switch_hook`] fired after each — a poll boundary is a
-/// genuine handover) until a carrier is dispatched, which is returned for
-/// the caller to switch to. `None` means nothing is runnable (or the sim
+/// Pop the calendar: the next carrier to switch to, its clock published
+/// for its lock-free reads. `None` means nothing is runnable (or the sim
 /// is poisoned); the caller runs the deadlock check.
-fn pump(
-    inner: &Arc<SimInner>,
-    st: &mut PlMutexGuard<'_, SchedState>,
-) -> Option<(TaskId, Option<CarrierBody>)> {
-    loop {
-        if st.poison.is_some() {
-            return None;
-        }
-        let dispatched = SimInner::dispatch_next(inner, st);
-        if !matches!(dispatched, Dispatch::Idle) {
-            // Publish the (possibly advanced) clock for the dispatched
-            // task's lock-free reads.
-            inner.clock.store(st.now.as_nanos(), Ordering::Relaxed);
-        }
-        let mut machine = match dispatched {
-            Dispatch::Carrier(tid, body) => return Some((tid, body)),
-            Dispatch::Idle => return None,
-            Dispatch::Event(m) => m,
-        };
-        let tid = st.running.expect("event task is running");
-        let now = st.now;
-        let info = st.tasks.get(&tid).expect("dispatched task exists");
-        let wake_reason = info.wake_reason;
-        let label: Arc<str> = Arc::from(info.name.as_str());
-        let outcome = st.unlocked(|| {
-            // Run the machine as the current simulated task so emit_sync /
-            // wake / spawn / set_wait_context attribute to it, then restore
-            // the run loop's own identity.
-            let prev = CURRENT.with(|c| c.borrow_mut().replace((inner.clone(), tid)));
-            let mut cx = EventCx {
-                sim: Sim {
-                    inner: inner.clone(),
-                },
-                tid,
-                now,
-                wake_reason,
-            };
-            let r = catch_unwind(AssertUnwindSafe(|| machine.poll(&mut cx)));
-            if matches!(r, Ok(EventPoll::Done) | Err(_)) {
-                // The task's clock is final after this point; joiners
-                // inherit it through the Join edge.
-                emit_sync(SyncOp::Finish, tid.0, &label);
-            }
-            // Event-task resumption boundary: a genuine handover, so the
-            // instrumentation backplane flushes its buffers at a
-            // deterministic point.
-            run_switch_hook();
-            CURRENT.with(|c| *c.borrow_mut() = prev);
-            r
-        });
-        // Relocked. No other task ran meanwhile: `running` stayed on this
-        // event task, so wake() could not touch it.
-        st.running = None;
-        match outcome {
-            Err(e) => {
-                finish_common(st, tid, Some(panic_message(&e)));
-                // Poison is set; the loop head returns None.
-            }
-            Ok(EventPoll::Done) => {
-                finish_common(st, tid, None);
-            }
-            Ok(EventPoll::Sleep(d)) => {
-                let wake = st.now + d;
-                requeue_event(st, tid, machine, wake);
-            }
-            Ok(EventPoll::SleepUntil(t)) => {
-                let wake = t.max(st.now);
-                requeue_event(st, tid, machine, wake);
-            }
-            Ok(EventPoll::Yield) => {
-                let wake = st.now;
-                requeue_event(st, tid, machine, wake);
-            }
-            Ok(EventPoll::Block { deadline }) => {
-                let info = st.tasks.get_mut(&tid).expect("unknown task");
-                info.state = TaskState::Blocked;
-                info.machine = Some(machine);
-                SimInner::bump_gen(st, tid);
-                if let Some(dl) = deadline {
-                    let wake = dl.max(st.now);
-                    SimInner::push_entry(st, tid, wake);
-                }
-            }
-        }
+fn pump(inner: &SimInner, st: &mut SchedState) -> Option<(TaskId, Option<CarrierBody>)> {
+    if st.poison.is_some() {
+        return None;
     }
-}
-
-/// Park `machine` back in its task and re-enter the calendar at `wake`.
-fn requeue_event(st: &mut SchedState, tid: TaskId, machine: Box<dyn EventTask>, wake: SimTime) {
-    let info = st.tasks.get_mut(&tid).expect("unknown task");
-    info.state = TaskState::Ready;
-    info.machine = Some(machine);
-    SimInner::push_ready(st, tid, wake);
+    let dispatched = SimInner::dispatch_next(inner, st)?;
+    inner.clock.store(st.now.as_nanos(), Ordering::Relaxed);
+    Some(dispatched)
 }
 
 /// A deterministic virtual-time simulation.
@@ -839,8 +608,7 @@ impl Default for Sim {
 
 thread_local! {
     /// The running simulated task. The run loop sets it on every resume
-    /// of a carrier (and around every event poll) and restores its own
-    /// value after.
+    /// of a carrier and restores its own value after.
     static CURRENT: std::cell::RefCell<Option<(Arc<SimInner>, TaskId)>> =
         const { std::cell::RefCell::new(None) };
     /// The running carrier's [`task_word`], swapped in and out by the run
@@ -852,8 +620,7 @@ thread_local! {
 /// layers above the scheduler, 0 when the carrier starts. It follows the
 /// carrier across switches — carriers share the run loop's OS thread, so
 /// an OS thread-local would leak one carrier's state into the next. Off a
-/// carrier (the host, an event task's poll) this is the word of the code
-/// driving the run loop.
+/// carrier this is the word of the code driving the run loop.
 #[inline]
 pub fn task_word() -> u64 {
     TASK_WORD.with(std::cell::Cell::get)
@@ -867,8 +634,8 @@ pub fn set_task_word(word: u64) {
 
 /// Access the calling simulated thread's context, or panic if the caller is
 /// not a simulated thread. The thread-local borrow is released before `f`
-/// runs so that `f` may re-enter the scheduler (the pump swaps `CURRENT`
-/// while polling event tasks).
+/// runs so that `f` may switch out (the run loop swaps `CURRENT` between
+/// carriers) or spawn a nested simulation.
 fn with_current<R>(f: impl FnOnce(&Arc<SimInner>, TaskId) -> R) -> R {
     let (inner, tid) = CURRENT.with(|c| {
         let b = c.borrow();
@@ -882,8 +649,8 @@ fn with_current<R>(f: impl FnOnce(&Arc<SimInner>, TaskId) -> R) -> R {
 
 /// Like [`with_current`] but runs `f` *inside* the thread-local borrow,
 /// skipping the `Arc` refcount round-trip. Only valid when `f` cannot
-/// re-enter the scheduler (no pump, no event-task dispatch): the pump swaps
-/// `CURRENT` via `borrow_mut` and would panic under this outstanding borrow.
+/// switch out: the run loop swaps `CURRENT` via `borrow_mut` and would
+/// panic under this outstanding borrow.
 #[inline]
 fn with_current_borrowed<R>(f: impl FnOnce(&Arc<SimInner>, TaskId) -> R) -> R {
     CURRENT.with(|c| {
@@ -895,8 +662,7 @@ fn with_current_borrowed<R>(f: impl FnOnce(&Arc<SimInner>, TaskId) -> R) -> R {
     })
 }
 
-/// True when called from a simulated thread (a carrier, or an event task
-/// mid-poll).
+/// True when called from a simulated thread.
 pub fn on_sim_thread() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
@@ -908,21 +674,6 @@ fn current_matches(inner: &Arc<SimInner>) -> bool {
             .as_ref()
             .is_some_and(|(cur, _)| Arc::ptr_eq(cur, inner))
     })
-}
-
-/// Panic (poisoning the sim) when an event task reaches an inline-blocking
-/// API from inside its poll. Event tasks have no stack to park: they must
-/// return the matching [`EventPoll`] instead.
-fn forbid_event_inline(st: &SchedState, tid: TaskId, what: &str) {
-    if let Some(info) = st.tasks.get(&tid) {
-        if info.flavor == Flavor::Event {
-            panic!(
-                "event task {} ('{}') called {what} inline from poll(); \
-                 event tasks must return the matching EventPoll instead",
-                tid, info.name
-            );
-        }
-    }
 }
 
 impl Sim {
@@ -990,9 +741,6 @@ impl Sim {
     /// Spawning only records the closure. The run loop gives the carrier a
     /// pooled stack on its first dispatch and runs it as a coroutine on
     /// the thread that called [`Sim::run`]; no OS thread is created.
-    ///
-    /// For pure coordination work (timers, tickers, collective waiters) use
-    /// [`Sim::spawn_event`]: same calendar, same determinism, no stack.
     pub fn spawn<T, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -1032,13 +780,11 @@ impl Sim {
                 TaskInfo {
                     name,
                     state: TaskState::Ready,
-                    flavor: Flavor::Carrier,
                     gen: 0,
                     has_entry: false,
                     wake_reason: WakeReason::Notified,
                     join_waiters: Vec::new(),
                     wait_ctx: None,
-                    machine: None,
                     body: Some(body),
                 },
             );
@@ -1059,61 +805,10 @@ impl Sim {
         }
     }
 
-    /// Spawn an event task: a stackless state machine resumed inline by the
-    /// dispatch loop. Shares the task-id space, calendar, sync-event
-    /// attribution, join protocol, and deadlock diagnostics with carrier
-    /// tasks — it just never owns an OS thread.
-    ///
-    /// The machine is polled first at the current virtual time (in FIFO
-    /// order with everything else scheduled for that instant).
-    pub fn spawn_event<M>(&self, name: impl Into<String>, machine: M) -> EventHandle
-    where
-        M: EventTask + 'static,
-    {
-        let name = name.into();
-        let tid = {
-            let mut st = self.inner.state.lock();
-            let tid = TaskId(st.next_tid);
-            st.next_tid += 1;
-            st.live += 1;
-            st.stats.event_spawns += 1;
-            if st.live > st.stats.peak_live_tasks {
-                st.stats.peak_live_tasks = st.live;
-            }
-            st.tasks.insert(
-                tid,
-                TaskInfo {
-                    name: name.clone(),
-                    state: TaskState::Ready,
-                    flavor: Flavor::Event,
-                    gen: 0,
-                    has_entry: false,
-                    wake_reason: WakeReason::Notified,
-                    join_waiters: Vec::new(),
-                    wait_ctx: None,
-                    machine: Some(Box::new(machine)),
-                    body: None,
-                },
-            );
-            let now = st.now;
-            SimInner::push_ready(&mut st, tid, now);
-            tid
-        };
-        let label: Arc<str> = Arc::from(name.as_str());
-        if current_matches(&self.inner) {
-            emit_sync(SyncOp::Spawn, tid.0, &label);
-        }
-        EventHandle {
-            inner: self.inner.clone(),
-            tid,
-        }
-    }
-
     /// Run the simulation to completion: dispatch tasks in virtual-time
     /// order until every simulated task has finished. Everything runs on
-    /// the calling thread: event tasks are polled inline, and each carrier
-    /// runs on its own stack until it sleeps, yields, blocks or finishes,
-    /// then switches back here.
+    /// the calling thread: each carrier runs on its own stack until it
+    /// sleeps, yields, blocks or finishes, then switches back here.
     ///
     /// # Panics
     ///
@@ -1202,8 +897,8 @@ impl Sim {
         self.inner.state.lock().stats.fast_advances
     }
 
-    /// Snapshot of the scheduler counters (switches, fast advances, event
-    /// polls, peak heap depth, peak live tasks, compactions).
+    /// Snapshot of the scheduler counters (switches, fast advances, peak
+    /// heap depth, peak live tasks, compactions).
     pub fn stats(&self) -> SchedStats {
         self.inner.state.lock().stats
     }
@@ -1224,13 +919,11 @@ fn panic_message(e: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Shared finish bookkeeping for both flavors: mark Finished, wake joiners,
-/// decrement live, record the first panic as poison. Caller handles the
-/// running-slot handover.
+/// Finish bookkeeping: mark Finished, wake joiners, decrement live, record
+/// the first panic as poison. Caller handles the running-slot handover.
 fn finish_common(st: &mut SchedState, tid: TaskId, panic_msg: Option<String>) {
     let waiters = if let Some(info) = st.tasks.get_mut(&tid) {
         info.state = TaskState::Finished;
-        info.machine = None;
         std::mem::take(&mut info.join_waiters)
     } else {
         Vec::new()
@@ -1339,46 +1032,8 @@ impl<T> JoinHandle<T> {
     }
 }
 
-/// Handle to a spawned event task.
-pub struct EventHandle {
-    inner: Arc<SimInner>,
-    tid: TaskId,
-}
-
-impl EventHandle {
-    /// The event task's id (same id space as carrier tasks).
-    pub fn id(&self) -> TaskId {
-        self.tid
-    }
-
-    /// True once the machine returned [`EventPoll::Done`] (or panicked).
-    pub fn is_finished(&self) -> bool {
-        self.inner
-            .state
-            .lock()
-            .tasks
-            .get(&self.tid)
-            .map(|i| i.state == TaskState::Finished)
-            .unwrap_or(true)
-    }
-
-    /// Block in virtual time until the event task finishes. Callable from
-    /// carrier tasks of the same sim; from the host it asserts the task has
-    /// already finished (meaningful only after [`Sim::run`]).
-    pub fn join(&self) {
-        if on_sim_thread() && current_matches(&self.inner) {
-            join_sim_side(&self.inner, self.tid);
-        } else {
-            assert!(
-                self.is_finished(),
-                "EventHandle::join off the simulation requires the task to have finished"
-            );
-        }
-    }
-}
-
 /// Virtual-time half of a join: wait for `tid` to finish, then record the
-/// Join edge. Shared by carrier and event joins.
+/// Join edge.
 fn join_sim_side(inner: &Arc<SimInner>, tid: TaskId) {
     let me = current_task();
     loop {
@@ -1453,8 +1108,7 @@ pub fn current_task_name() -> String {
     })
 }
 
-/// Advance virtual time by `d` for the calling thread. Carrier tasks only —
-/// an event task returns [`EventPoll::Sleep`] from its poll instead.
+/// Advance virtual time by `d` for the calling thread.
 ///
 /// Fast path: when the sleeper would still be the earliest runnable task at
 /// its wake time, the clock simply jumps forward without a carrier switch.
@@ -1465,7 +1119,6 @@ pub fn sleep(d: Duration) {
     let wake = with_current_borrowed(|inner, tid| {
         let mut st = inner.state.lock();
         SimInner::poison_check(&st);
-        forbid_event_inline(&st, tid, "sleep()");
         debug_assert_eq!(st.running, Some(tid), "sleeping thread must be running");
         let wake = st.now + d;
         // Fast path: nothing else can legally run before `wake`. A peeked
@@ -1528,14 +1181,12 @@ pub fn sleep_until(t: SimTime) {
     }
 }
 
-/// Let equal-time peers run before continuing. Carrier tasks only — an
-/// event task returns [`EventPoll::Yield`] from its poll instead.
+/// Let equal-time peers run before continuing.
 pub fn yield_now() {
     with_current(|inner, tid| {
         {
             let st = inner.state.lock();
             SimInner::poison_check(&st);
-            forbid_event_inline(&st, tid, "yield_now()");
             if st.heap.peek().is_none() {
                 return; // nobody to yield to
             }
@@ -1553,8 +1204,6 @@ pub fn yield_now() {
 
 /// Deschedule the calling thread until another thread calls [`wake`] on it,
 /// or until `deadline` (if given) elapses. Returns how it was woken.
-/// Carrier tasks only — an event task returns [`EventPoll::Block`] from its
-/// poll instead.
 ///
 /// This is the primitive on which all of [`crate::sync`] is built. The
 /// single-running-thread invariant makes the check-then-block pattern safe:
@@ -1566,11 +1215,7 @@ pub fn block(deadline: Option<SimTime>) -> WakeReason {
         // any scheduler state changes. The single-running-thread invariant
         // keeps the pattern safe — a non-sleeping hook cannot let another
         // thread run between a wait-list registration and this block.
-        {
-            let st = inner.state.lock();
-            SimInner::poison_check(&st);
-            forbid_event_inline(&st, tid, "block()");
-        }
+        SimInner::poison_check(&inner.state.lock());
         run_switch_hook();
         let mut st = inner.state.lock();
         SimInner::poison_check(&st);
@@ -1596,9 +1241,7 @@ pub fn block(deadline: Option<SimTime>) -> WakeReason {
 
 /// Make a blocked task runnable at the current virtual time. Returns true
 /// if the task was indeed blocked (a no-op on any other state returns
-/// false — e.g. a waiter already woken by its timeout). Works identically
-/// on carrier and event tasks: the woken event task is polled when its
-/// calendar entry surfaces.
+/// false — e.g. a waiter already woken by its timeout).
 ///
 /// Callable only from simulated threads, with one exception: after
 /// [`Sim::run`] returns, destructors of sync primitives may run on the host
@@ -1694,30 +1337,23 @@ mod tests {
     }
 
     #[test]
-    fn equal_time_fifo_order_holds_across_flavors() {
-        // Alternating carrier/event tasks all wake at t=1ms; the calendar
-        // must run them in spawn order regardless of flavor.
+    fn equal_time_fifo_order_holds_across_wait_kinds() {
+        // Sleepers and timed-out blockers alternate, all due at t=1ms; the
+        // calendar must run them in spawn order whichever way they waited.
         for _ in 0..10 {
             let sim = Sim::new();
             let log = Arc::new(Mutex::new(Vec::new()));
             for i in 0..8usize {
                 let log = log.clone();
-                if i % 2 == 0 {
-                    sim.spawn(format!("c{i}"), move || {
+                sim.spawn(format!("t{i}"), move || {
+                    if i % 2 == 0 {
                         sleep(Duration::from_millis(1));
-                        log.lock().push(i);
-                    });
-                } else {
-                    let mut slept = false;
-                    sim.spawn_event(format!("e{i}"), move |_cx: &mut EventCx| {
-                        if !slept {
-                            slept = true;
-                            return EventPoll::Sleep(Duration::from_millis(1));
-                        }
-                        log.lock().push(i);
-                        EventPoll::Done
-                    });
-                }
+                    } else {
+                        let r = block(Some(SimTime::from_nanos(1_000_000)));
+                        assert_eq!(r, WakeReason::Timeout);
+                    }
+                    log.lock().push(i);
+                });
             }
             sim.run();
             assert_eq!(*log.lock(), (0..8).collect::<Vec<_>>());
@@ -1826,33 +1462,32 @@ mod tests {
     }
 
     #[test]
-    fn mixed_flavor_deadlock_names_both_parties() {
-        // A carrier and an event task, each blocked on something the other
-        // never provides: the wait-for dump must name both, tagging the
-        // event task's flavor.
+    fn deadlock_dump_names_every_blocked_party() {
+        // Two carriers, each blocked on something the other never
+        // provides, and a third joined on one of them: the wait-for dump
+        // must name all three and who joins whom.
         let sim = Sim::new();
-        sim.spawn("stuck-carrier", || {
-            set_wait_context("a token from the ticker");
+        let sim2 = sim.clone();
+        sim.spawn("stuck-a", || {
+            set_wait_context("a token from stuck-b");
             block(None);
         });
-        let mut registered = false;
-        sim.spawn_event("stuck-ticker", move |_cx: &mut EventCx| {
-            if !registered {
-                registered = true;
-            }
-            set_wait_context("an ack from the carrier");
-            EventPoll::Block { deadline: None }
+        sim.spawn("stuck-b", move || {
+            let a = sim2.spawn("stuck-c", || {
+                set_wait_context("an ack from stuck-a");
+                block(None);
+            });
+            a.join();
         });
         let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("deadlock must panic");
         let msg = panic_message(&err);
-        assert!(
-            msg.contains("t0 (stuck-carrier): blocked on a token from the ticker"),
-            "carrier missing from dump: {msg}"
-        );
-        assert!(
-            msg.contains("t1 (stuck-ticker) [event]: blocked on an ack from the carrier"),
-            "event task missing from dump: {msg}"
-        );
+        for want in [
+            "t0 (stuck-a): blocked on a token from stuck-b",
+            "t1 (stuck-b): blocked on join on t2",
+            "t2 (stuck-c): blocked on an ack from stuck-a [joined by: t1]",
+        ] {
+            assert!(msg.contains(want), "{want:?} missing from dump: {msg}");
+        }
     }
 
     #[test]
@@ -1891,7 +1526,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_observer_sees_event_task_edges() {
+    fn sync_observer_orders_finish_before_join_of_a_finished_child() {
+        // The child finishes before the parent joins, so the join never
+        // blocks; the Join edge must still follow the child's Finish.
         struct Rec(Mutex<Vec<(TaskId, SyncOp, u64)>>);
         impl SyncObserver for Rec {
             fn on_sync(&self, ev: &SyncEvent) {
@@ -1903,24 +1540,24 @@ mod tests {
         sim.set_sync_observer(rec.clone());
         let sim2 = sim.clone();
         sim.spawn("parent", move || {
-            let mut ticks = 0;
-            let h = sim2.spawn_event("ticker", move |_cx: &mut EventCx| {
-                ticks += 1;
-                if ticks < 3 {
-                    EventPoll::Sleep(Duration::from_millis(1))
-                } else {
-                    EventPoll::Done
+            let h = sim2.spawn("ticker", || {
+                for _ in 0..3 {
+                    sleep(Duration::from_millis(1));
                 }
             });
+            sleep(Duration::from_millis(5));
             h.join();
+            assert_eq!(
+                now().as_nanos(),
+                5_000_000,
+                "a finished child costs no wait"
+            );
         });
         sim.run();
         let got = rec.0.lock().clone();
         let parent = TaskId(0);
         let ticker = TaskId(1);
         assert!(got.contains(&(parent, SyncOp::Spawn, ticker.0)));
-        assert!(got.contains(&(ticker, SyncOp::Finish, ticker.0)));
-        assert!(got.contains(&(parent, SyncOp::Join, ticker.0)));
         let fin = got
             .iter()
             .position(|e| *e == (ticker, SyncOp::Finish, ticker.0))
@@ -2016,79 +1653,55 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "event boom")]
-    fn event_task_panic_propagates() {
+    #[should_panic(expected = "child boom")]
+    fn nested_spawn_panic_propagates() {
         let sim = Sim::new();
-        sim.spawn_event("bad", |_cx: &mut EventCx| -> EventPoll {
-            panic!("event boom")
+        let sim2 = sim.clone();
+        sim.spawn("parent", move || {
+            let h = sim2.spawn("child", || {
+                sleep(Duration::from_millis(1));
+                panic!("child boom")
+            });
+            h.join();
         });
         sim.run();
     }
 
     #[test]
-    #[should_panic(expected = "called sleep() inline")]
-    fn event_task_may_not_sleep_inline() {
+    fn lone_timer_carrier_runs_on_the_fast_path() {
+        // A lone ticking carrier is dispatched once: every later tick is a
+        // fast-path advance, and nothing is ever polled inline.
         let sim = Sim::new();
-        sim.spawn_event("naughty", |_cx: &mut EventCx| {
-            sleep(Duration::from_millis(1)); // panics: no stack to park
-            EventPoll::Done
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn lone_event_task_runs_on_host_thread() {
-        // A pure event-task simulation must complete without spawning any
-        // carrier; the host thread in Sim::run drives the calendar.
-        let sim = Sim::new();
-        let mut left = 1000u32;
-        sim.spawn_event("timer", move |cx: &mut EventCx| {
-            assert_eq!(cx.wake_reason(), WakeReason::Notified);
-            if left == 0 {
-                return EventPoll::Done;
+        sim.spawn("timer", || {
+            for _ in 0..1000 {
+                sleep(Duration::from_micros(10));
             }
-            left -= 1;
-            EventPoll::Sleep(Duration::from_micros(10))
         });
         sim.run();
         assert_eq!(sim.now().as_nanos(), 1000 * 10_000);
         let stats = sim.stats();
-        assert_eq!(stats.event_spawns, 1);
-        assert_eq!(stats.carrier_spawns, 0);
-        assert!(stats.event_polls >= 1001, "one poll per tick plus Done");
-        assert_eq!(stats.switches, 0, "no carrier ever dispatched");
+        assert_eq!(stats.carrier_spawns, 1);
+        assert_eq!(stats.switches, 1, "one dispatch, then the fast path");
+        assert_eq!(stats.fast_advances, 1000);
+        assert_eq!(stats.event_polls, 0);
     }
 
     #[test]
-    fn event_task_block_wake_and_timeout() {
+    fn block_times_out_then_waits_for_a_wake() {
         let sim = Sim::new();
         let slot: Arc<Mutex<Option<TaskId>>> = Arc::new(Mutex::new(None));
         let slot2 = slot.clone();
         let log = Arc::new(Mutex::new(Vec::new()));
         let log2 = log.clone();
-        let mut phase = 0;
-        sim.spawn_event("waiter", move |cx: &mut EventCx| {
-            phase += 1;
-            match phase {
-                1 => {
-                    *slot2.lock() = Some(cx.task());
-                    // First a bounded wait that nobody answers...
-                    EventPoll::Block {
-                        deadline: Some(cx.now() + Duration::from_millis(2)),
-                    }
-                }
-                2 => {
-                    assert_eq!(cx.wake_reason(), WakeReason::Timeout);
-                    log2.lock().push(("timeout", cx.now().as_nanos()));
-                    // ...then an unbounded wait the carrier answers.
-                    EventPoll::Block { deadline: None }
-                }
-                _ => {
-                    assert_eq!(cx.wake_reason(), WakeReason::Notified);
-                    log2.lock().push(("notified", cx.now().as_nanos()));
-                    EventPoll::Done
-                }
-            }
+        sim.spawn("waiter", move || {
+            *slot2.lock() = Some(current_task());
+            // First a bounded wait that nobody answers...
+            let r = block(Some(now() + Duration::from_millis(2)));
+            assert_eq!(r, WakeReason::Timeout);
+            log2.lock().push(("timeout", now().as_nanos()));
+            // ...then an unbounded wait the waker answers.
+            assert_eq!(block(None), WakeReason::Notified);
+            log2.lock().push(("notified", now().as_nanos()));
         });
         sim.spawn("waker", move || {
             sleep(Duration::from_millis(5));
@@ -2102,50 +1715,35 @@ mod tests {
     }
 
     #[test]
-    fn event_handle_join_from_carrier_inherits_clock() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.spawn("main", move || {
-            let mut done = false;
-            let h = sim2.spawn_event("slow", move |_cx: &mut EventCx| {
-                if done {
-                    return EventPoll::Done;
-                }
-                done = true;
-                EventPoll::Sleep(Duration::from_millis(4))
-            });
-            assert!(!h.is_finished());
-            h.join();
-            assert!(h.is_finished());
-            assert_eq!(now().as_nanos(), 4_000_000);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn ten_thousand_event_tasks_one_os_thread() {
-        // The scale contract in miniature: 10k simulated tasks, zero
-        // carriers. Each sleeps a staggered amount twice, then finishes.
+    fn ten_thousand_carriers_one_os_thread() {
+        // The scale contract in miniature: 10k simulated threads, each a
+        // carrier on a pooled stack, all on the thread in Sim::run. Each
+        // sleeps a staggered amount twice, then finishes.
         let sim = Sim::new();
         let done = Arc::new(AtomicUsize::new(0));
         for i in 0..10_000u64 {
             let done = done.clone();
-            let mut phase = 0;
-            sim.spawn_event(format!("e{i}"), move |_cx: &mut EventCx| {
-                phase += 1;
-                if phase <= 2 {
-                    EventPoll::Sleep(Duration::from_micros(1 + i % 97))
-                } else {
-                    done.fetch_add(1, Ordering::Relaxed);
-                    EventPoll::Done
+            sim.spawn(format!("c{i}"), move || {
+                for _ in 0..2 {
+                    sleep(Duration::from_micros(1 + i % 97));
                 }
+                done.fetch_add(1, Ordering::Relaxed);
             });
         }
+        let host = std::thread::current().id();
+        sim.spawn("probe", move || {
+            assert_eq!(
+                std::thread::current().id(),
+                host,
+                "carriers run on the host"
+            );
+        });
         sim.run();
         assert_eq!(done.load(Ordering::Relaxed), 10_000);
         let stats = sim.stats();
-        assert_eq!(stats.peak_live_tasks, 10_000);
-        assert_eq!(stats.switches, 0, "no OS-thread handover anywhere");
+        assert_eq!(stats.carrier_spawns, 10_001);
+        assert_eq!(stats.peak_live_tasks, 10_001);
+        assert_eq!(stats.event_polls, 0);
     }
 
     #[test]
@@ -2186,26 +1784,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_peaks_and_flavors() {
+    fn stats_track_peaks() {
         let sim = Sim::new();
-        for i in 0..3 {
+        for i in 0..4 {
             sim.spawn(format!("c{i}"), || sleep(Duration::from_millis(1)));
         }
-        let mut done = false;
-        sim.spawn_event("e0", move |_cx: &mut EventCx| {
-            if done {
-                return EventPoll::Done;
-            }
-            done = true;
-            EventPoll::Sleep(Duration::from_millis(1))
-        });
         sim.run();
         let stats = sim.stats();
-        assert_eq!(stats.carrier_spawns, 3);
-        assert_eq!(stats.event_spawns, 1);
+        assert_eq!(stats.carrier_spawns, 4);
         assert_eq!(stats.peak_live_tasks, 4);
         assert!(stats.peak_heap_depth >= 4);
-        assert!(stats.event_polls >= 2);
+        assert_eq!(stats.switches, 8, "each carrier: first dispatch and wake");
         assert_eq!(sim.live_tasks(), 0);
     }
 

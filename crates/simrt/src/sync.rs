@@ -10,20 +10,10 @@
 //! primitive is `Send + Sync` and may be touched from the host too — but
 //! those locks are always uncontended.
 //!
-//! ## Event-task wait paths
-//!
-//! Event tasks ([`crate::Sim::spawn_event`]) have no stack to park and
-//! must never call the blocking methods. Two primitives offer a
-//! non-blocking twin for them: [`Event::poll_wait`] (dstat's sampler) and
-//! [`Barrier::poll_wait`] (mixed-flavor barrier crossings). A poll either
-//! completes the wait immediately or registers the calling task in the
-//! wait list and returns "pending" — the event task then returns
-//! [`crate::EventPoll::Block`] from its poll and retries when resumed.
-//! Registration is idempotent (re-polling does not duplicate the entry),
-//! the same [`SyncOp`] edges are emitted as on the blocking paths, and the
-//! single-running-task invariant makes register-then-block atomic exactly
-//! as it is for carriers. All waiting is wake- or timer-driven — there is
-//! no busy-wait anywhere.
+//! Each primitive has one wait path. A bounded wait (`wait_timeout`) runs
+//! the same loop as the unbounded one with a deadline, and a waiter whose
+//! deadline fires leaves the wait list before it returns. All waiting is
+//! wake- or timer-driven — there is no busy-wait anywhere.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -35,6 +25,7 @@ use crate::sched::{
     block, current_task, emit_sync, new_sync_obj_id, on_sim_thread, set_wait_context, wake, SyncOp,
     TaskId, WakeReason,
 };
+use crate::time::SimTime;
 
 /// Build the display label of a sync object: `"chan#3"` or `"chan#3 'batches'"`.
 fn obj_label(kind: &str, id: u64, name: Option<&str>) -> Arc<str> {
@@ -442,38 +433,37 @@ impl Event {
 
     /// Block in virtual time until set.
     pub fn wait(&self) {
+        self.wait_until(None);
+    }
+
+    /// Block until set or until `timeout` elapses. Returns true (emitting
+    /// the acquire edge) if the event was set by then.
+    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+        self.wait_until(Some(crate::sched::now() + timeout))
+    }
+
+    /// The one wait loop behind [`Event::wait`] and [`Event::wait_timeout`].
+    fn wait_until(&self, deadline: Option<SimTime>) -> bool {
         loop {
             {
                 let mut st = self.st.lock();
                 if st.set {
                     emit_sync(SyncOp::Wait, self.id, &self.label);
-                    return;
+                    return true;
+                }
+                if deadline.is_some_and(|d| crate::sched::now() >= d) {
+                    return false;
                 }
                 st.waiters.push(current_task());
             }
             set_wait_context(format!("{} to be set", self.label));
-            block(None);
-        }
-    }
-
-    /// Event-task wait path for [`Event::wait`]: returns true if set
-    /// (emitting the acquire edge), false after registering the calling
-    /// task as a waiter (the caller should block — with a deadline of its
-    /// own choosing, if it wants one — and re-poll).
-    pub fn poll_wait(&self) -> bool {
-        {
-            let mut st = self.st.lock();
-            if st.set {
-                emit_sync(SyncOp::Wait, self.id, &self.label);
-                return true;
-            }
-            let me = current_task();
-            if !st.waiters.contains(&me) {
-                st.waiters.push(me);
+            if block(deadline) == WakeReason::Timeout {
+                // Leave the wait list, so a later `set` finds no stale
+                // waiter; the loop head then reports the timeout.
+                let me = current_task();
+                self.st.lock().waiters.retain(|t| *t != me);
             }
         }
-        set_wait_context(format!("{} to be set", self.label));
-        false
     }
 }
 
@@ -645,60 +635,6 @@ impl Barrier {
                 drop(st);
                 emit_sync(SyncOp::Wait, self.id, &self.label);
                 return false;
-            }
-        }
-    }
-
-    /// Event-task wait path for [`Barrier::wait`], driven through `token`
-    /// (start each crossing with `None`):
-    ///
-    /// * first poll — records the arrival (emitting the release edge). If it
-    ///   completes the barrier, all waiters wake and `Some(true)` elects the
-    ///   caller leader; otherwise the caller is registered, `token` holds
-    ///   the generation, and `None` says block and re-poll.
-    /// * later polls — `Some(false)` once the generation advanced (the
-    ///   acquire edge is emitted and `token` resets for reuse), `None` on a
-    ///   spurious wake.
-    pub fn poll_wait(&self, token: &mut Option<u64>) -> Option<bool> {
-        match *token {
-            None => {
-                emit_sync(SyncOp::Signal, self.id, &self.label);
-                let ctx;
-                {
-                    let mut st = self.st.lock();
-                    let my_gen = st.generation;
-                    st.count += 1;
-                    if st.count == self.n {
-                        st.count = 0;
-                        st.generation += 1;
-                        for w in st.waiters.drain(..) {
-                            wake(w);
-                        }
-                        emit_sync(SyncOp::Wait, self.id, &self.label);
-                        return Some(true);
-                    }
-                    st.waiters.push(current_task());
-                    ctx = format!("{} ({} of {} arrived)", self.label, st.count, self.n);
-                    *token = Some(my_gen);
-                }
-                set_wait_context(ctx);
-                None
-            }
-            Some(my_gen) => {
-                let mut st = self.st.lock();
-                if st.generation != my_gen {
-                    drop(st);
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                    *token = None;
-                    return Some(false);
-                }
-                // Spurious wake: still the same generation. Stay registered
-                // (the leader's drain is the only dequeue) and block again.
-                let me = current_task();
-                if !st.waiters.contains(&me) {
-                    st.waiters.push(me);
-                }
-                None
             }
         }
     }
@@ -920,7 +856,6 @@ impl Condvar {
 mod tests {
     use super::*;
     use crate::sched::{now, sleep, Sim};
-    use crate::time::SimTime;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -1208,67 +1143,83 @@ mod tests {
     }
 
     #[test]
-    fn barrier_crossing_mixes_carriers_and_event_tasks() {
-        use crate::sched::{EventCx, EventPoll};
+    fn event_wait_timeout_returns_false_at_the_deadline() {
         let sim = Sim::new();
-        let bar = Arc::new(Barrier::new(4));
-        let leaders = Arc::new(AtomicUsize::new(0));
-        let released_at = Arc::new(PlMutex::new(Vec::new()));
-        for i in 0..2u64 {
-            let (bar, leaders, rel) = (bar.clone(), leaders.clone(), released_at.clone());
-            sim.spawn(format!("c{i}"), move || {
-                sleep(Duration::from_millis(i));
-                if bar.wait() {
-                    leaders.fetch_add(1, Ordering::SeqCst);
-                }
-                rel.lock().push(now().as_nanos());
-            });
-        }
-        for i in 2..4u64 {
-            let (bar, leaders, rel) = (bar.clone(), leaders.clone(), released_at.clone());
-            let mut token = None;
-            let mut slept = false;
-            sim.spawn_event(format!("e{i}"), move |_cx: &mut EventCx| {
-                if !slept {
-                    slept = true;
-                    return EventPoll::Sleep(Duration::from_millis(i));
-                }
-                match bar.poll_wait(&mut token) {
-                    Some(is_leader) => {
-                        if is_leader {
-                            leaders.fetch_add(1, Ordering::SeqCst);
-                        }
-                        rel.lock().push(now().as_nanos());
-                        EventPoll::Done
-                    }
-                    None => EventPoll::Block { deadline: None },
-                }
-            });
-        }
+        let ev = Arc::new(Event::new());
+        let ev2 = ev.clone();
+        sim.spawn("t", move || {
+            assert!(!ev2.wait_timeout(Duration::from_millis(3)));
+            assert_eq!(now(), SimTime::from_nanos(3_000_000));
+            assert!(
+                !ev2.wait_timeout(Duration::ZERO),
+                "a zero wait never blocks"
+            );
+            assert_eq!(now(), SimTime::from_nanos(3_000_000));
+        });
         sim.run();
-        assert_eq!(leaders.load(Ordering::SeqCst), 1);
-        // Everyone is released at the last arrival (t = 3 ms).
-        assert_eq!(*released_at.lock(), vec![3_000_000; 4]);
+        assert!(ev.st.lock().waiters.is_empty(), "the timed-out waiter left");
     }
 
     #[test]
-    fn event_sampler_stops_on_event_poll_wait() {
-        use crate::sched::{EventCx, EventPoll};
+    fn event_wait_timeout_returns_true_when_set_before_the_deadline() {
+        let sim = Sim::new();
+        let ev = Arc::new(Event::new());
+        let ev2 = ev.clone();
+        let woke_at = Arc::new(AtomicUsize::new(0));
+        let w = woke_at.clone();
+        sim.spawn("waiter", move || {
+            assert!(ev2.wait_timeout(Duration::from_secs(10)));
+            w.store(now().as_nanos() as usize, Ordering::SeqCst);
+            assert!(ev2.wait_timeout(Duration::from_secs(10)), "stays set");
+        });
+        sim.spawn("setter", move || {
+            sleep(Duration::from_millis(2));
+            ev.set();
+        });
+        sim.run();
+        assert_eq!(woke_at.load(Ordering::SeqCst), 2_000_000);
+        assert_eq!(
+            sim.now(),
+            SimTime::from_nanos(2_000_000),
+            "no timeout fired"
+        );
+    }
+
+    #[test]
+    fn event_set_after_a_timed_out_wait_finds_no_stale_waiter() {
+        // The waiter times out at 1 ms and then blocks in an unbounded wait
+        // on another event. If its timed-out registration lingered, the set
+        // at 2 ms would wake it out of that unrelated wait.
+        let sim = Sim::new();
+        let (a, b) = (Arc::new(Event::new()), Arc::new(Event::new()));
+        let (a2, b2) = (a.clone(), b.clone());
+        let log = Arc::new(PlMutex::new(Vec::new()));
+        let log2 = log.clone();
+        sim.spawn("waiter", move || {
+            assert!(!a2.wait_timeout(Duration::from_millis(1)));
+            b2.wait();
+            log2.lock().push(now().as_nanos());
+        });
+        sim.spawn("setter", move || {
+            sleep(Duration::from_millis(2));
+            assert!(a.st.lock().waiters.is_empty(), "stale waiter on a");
+            a.set();
+            sleep(Duration::from_millis(3));
+            b.set();
+        });
+        sim.run();
+        assert_eq!(*log.lock(), vec![5_000_000]);
+    }
+
+    #[test]
+    fn sampler_carrier_stops_on_event_wait_timeout() {
         let sim = Sim::new();
         let stop = Arc::new(Event::new());
         let samples = Arc::new(AtomicUsize::new(0));
         let (stop2, s2) = (stop.clone(), samples.clone());
-        let mut first = true;
-        sim.spawn_event("sampler", move |cx: &mut EventCx| {
-            if stop2.poll_wait() {
-                return EventPoll::Done;
-            }
-            if !first && cx.wake_reason() == WakeReason::Timeout {
+        sim.spawn("sampler", move || {
+            while !stop2.wait_timeout(Duration::from_millis(1)) {
                 s2.fetch_add(1, Ordering::SeqCst);
-            }
-            first = false;
-            EventPoll::Block {
-                deadline: Some(cx.now() + Duration::from_millis(1)),
             }
         });
         sim.spawn("main", move || {
@@ -1277,6 +1228,11 @@ mod tests {
         });
         sim.run();
         assert_eq!(samples.load(Ordering::SeqCst), 10);
+        assert_eq!(
+            sim.now(),
+            SimTime::from_nanos(10_500_000),
+            "ends at the stop"
+        );
     }
 
     #[test]

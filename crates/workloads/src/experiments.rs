@@ -161,7 +161,7 @@ pub struct RunOutput {
     /// Full iosan report, when the run was sanitized.
     pub sanitizer: Option<SanitizerReport>,
     /// Scheduler statistics of the run's simulation: context switches,
-    /// event-task polls, task counts per flavor, run-calendar peaks.
+    /// fast advances, task counts, run-calendar peaks.
     pub scheduler: SchedStatsReport,
 }
 

@@ -26,7 +26,7 @@
 //!   sanitized ([`FleetConfig::sanitize`]), exercising the lazy
 //!   `JobCtx::job_bus` path.
 //! * **Tree reduction** — the per-rank sessions are reduced by the
-//!   log-depth `spawn_tree_reduce` event task on the same calendar; its
+//!   log-depth `spawn_tree_reduce` task on the same calendar; its
 //!   modeled virtual cost (and the flat O(N) cost it replaces) land in
 //!   the outcome for the scaling bench and the perf gate.
 //!
@@ -266,7 +266,7 @@ pub fn run_fleet_scale(cfg: &FleetConfig) -> FleetOutcome {
                 if let Some(d) = &dstat {
                     d.stop();
                 }
-                // Reduce on the same calendar: the log-depth event task
+                // Reduce on the same calendar: the log-depth reduction
                 // starts where the I/O window ended.
                 let sessions: Vec<_> = job
                     .ranks()

@@ -1,8 +1,9 @@
 //! Property test: `TfDarshanReport` JSON round-trips byte-stably and
 //! field-identically — including the `#[serde(default)]` optional
 //! sanitizer/scheduler sections, whose presence must survive and whose
-//! absence must stay absent (old reports keep parsing). The same holds
-//! one level up for the serve daemon's NDJSON wire messages.
+//! absence must stay absent (old reports keep parsing, including the
+//! scheduler keys that are no longer written). The same holds one level
+//! up for the serve daemon's NDJSON wire messages.
 
 use proptest::prelude::*;
 
@@ -159,26 +160,21 @@ fn scheduler() -> impl Strategy<Value = Option<SchedStatsReport>> {
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
-            any::<u64>(),
         )
-            .prop_map(
-                |(switches, fast_advances, event_polls, carrier_spawns, a, b)| {
-                    Some(SchedStatsReport {
-                        switches,
-                        fast_advances,
-                        event_polls,
-                        carrier_spawns,
-                        event_spawns: a,
-                        peak_heap_depth: b,
-                        peak_live_tasks: a ^ b,
-                        heap_compactions: switches.wrapping_add(b),
-                        decision_points: a.wrapping_add(b),
-                        schedules_run: a ^ switches,
-                        schedules_pruned: b ^ event_polls,
-                        max_preemptions_used: carrier_spawns.wrapping_add(a),
-                    })
-                }
-            ),
+            .prop_map(|(switches, fast_advances, carrier_spawns, a, b)| {
+                Some(SchedStatsReport {
+                    switches,
+                    fast_advances,
+                    carrier_spawns,
+                    peak_heap_depth: b,
+                    peak_live_tasks: a ^ b,
+                    heap_compactions: switches.wrapping_add(b),
+                    decision_points: a.wrapping_add(b),
+                    schedules_run: a ^ switches,
+                    schedules_pruned: b ^ fast_advances,
+                    max_preemptions_used: carrier_spawns.wrapping_add(a),
+                })
+            }),
     ]
 }
 
@@ -288,5 +284,23 @@ proptest! {
         let back = SessionDiffMsg::from_line(&line).expect("wire parses");
         assert_reports_identical(&msg.report, &back.report);
         prop_assert_eq!(back.to_line(), line);
+    }
+
+    #[test]
+    fn report_with_retired_scheduler_keys_still_parses(r in report(), sched in scheduler()) {
+        // Reports written while simrt had stackless event tasks carry two
+        // more scheduler keys; they parse, and the keys are dropped.
+        let r = TfDarshanReport { scheduler: sched.or(Some(SchedStatsReport::default())), ..r };
+        let json = r.to_json();
+        let key = "\"scheduler\": {";
+        let at = json.find(key).expect("scheduler section present") + key.len();
+        let old = format!(
+            "{}\"event_polls\": 69997, \"event_spawns\": 10000,{}",
+            &json[..at],
+            &json[at..]
+        );
+        let back = TfDarshanReport::from_json(&old).expect("retired keys are ignored");
+        assert_reports_identical(&r, &back);
+        prop_assert_eq!(back.to_json(), json);
     }
 }

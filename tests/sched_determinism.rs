@@ -1,12 +1,13 @@
-//! Determinism contract of the event-driven DES core: refactoring a task
-//! from a stack-full carrier thread to a stackless event task must not
-//! change the simulation's observable behavior. Same workload, same
-//! virtual-time trace — byte-identical probe event streams, identical
-//! Darshan counters, identical final clock — whether the auxiliary tasks
-//! run as carriers or as event-task state machines.
+//! Determinism contract of the event-driven DES core: changing how a task
+//! waits for a virtual instant must not change the simulation's
+//! observable behavior. A `sleep` may take the fast path and never touch
+//! the calendar, while a timed-out `Event::wait_timeout` always blocks
+//! and is dispatched again; same workload, same virtual-time trace —
+//! byte-identical probe event streams, identical Darshan counters,
+//! identical final clock — whichever the pacing tasks use.
 //!
 //! Also pins the FIFO tie-break: tasks becoming runnable at the same
-//! virtual instant run in spawn order regardless of flavor.
+//! virtual instant run in spawn order whichever way they waited.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,8 +16,8 @@ use proptest::prelude::*;
 
 use tf_darshan::posix::OpenFlags;
 use tf_darshan::probe::{CollectingSink, ProbeSink};
-use tf_darshan::simrt::sync::Semaphore;
-use tf_darshan::simrt::{EventCx, EventPoll, Sim};
+use tf_darshan::simrt::sync::{Event, Semaphore};
+use tf_darshan::simrt::Sim;
 use tf_darshan::tfdarshan::{TfDarshanConfig, TfDarshanWrapper};
 use tf_darshan::workloads::platform::greendog;
 
@@ -41,12 +42,11 @@ fn strip_pids(s: &str) -> String {
     out
 }
 
-/// Run the paced-I/O workload at `n` worker/pacer pairs. Workers are
-/// always carriers (they do blocking POSIX I/O); pacers are carriers in
-/// the baseline and event tasks for even indices when `mixed`. Returns
-/// the full probe event stream, the Darshan session snapshots, and the
-/// final virtual clock.
-fn run_trace(n: usize, mixed: bool) -> (String, String, f64) {
+/// Run the paced-I/O workload at `n` worker/pacer pairs. Pacers `sleep`
+/// in the baseline; when `timed`, even-indexed pacers wait out a never-set
+/// event instead. Returns the full probe event stream, the Darshan
+/// session snapshots, and the final virtual clock.
+fn run_trace(n: usize, timed: bool) -> (String, String, f64) {
     let m = greendog();
     for i in 0..n {
         m.stack
@@ -83,29 +83,16 @@ fn run_trace(n: usize, mixed: bool) -> (String, String, f64) {
                     }
                 }));
             }
-            if mixed && i % 2 == 0 {
-                let mut fired = 0usize;
-                let mut sleeping = true;
-                sim2.spawn_event(format!("p{i}"), move |_cx: &mut EventCx| loop {
-                    if fired == ROUNDS {
-                        return EventPoll::Done;
-                    }
-                    if sleeping {
-                        sleeping = false;
-                        return EventPoll::Sleep(d);
+            let timer = (timed && i % 2 == 0).then(Event::new);
+            sim2.spawn(format!("p{i}"), move || {
+                for _ in 0..ROUNDS {
+                    match &timer {
+                        Some(never) => assert!(!never.wait_timeout(d)),
+                        None => tf_darshan::simrt::sleep(d),
                     }
                     tickets.release();
-                    fired += 1;
-                    sleeping = true;
-                });
-            } else {
-                sim2.spawn(format!("p{i}"), move || {
-                    for _ in 0..ROUNDS {
-                        tf_darshan::simrt::sleep(d);
-                        tickets.release();
-                    }
-                });
-            }
+                }
+            });
         }
         for w in workers {
             w.join();
@@ -144,39 +131,39 @@ fn canon(s: &tf_darshan::darshan::Snapshot) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn mixed_flavor_runs_reproduce_the_carrier_trace(n in 1usize..65) {
-        let (ev_carrier, ctr_carrier, t_carrier) = run_trace(n, false);
-        let (ev_mixed, ctr_mixed, t_mixed) = run_trace(n, true);
-        prop_assert_eq!(ev_carrier, ev_mixed, "probe event streams diverged at n={}", n);
-        prop_assert_eq!(ctr_carrier, ctr_mixed, "Darshan counters diverged at n={}", n);
-        prop_assert_eq!(t_carrier, t_mixed, "final virtual clocks diverged at n={}", n);
+    fn paced_runs_reproduce_the_trace_across_wait_kinds(n in 1usize..65) {
+        let (ev_slept, ctr_slept, t_slept) = run_trace(n, false);
+        let (ev_timed, ctr_timed, t_timed) = run_trace(n, true);
+        prop_assert_eq!(ev_slept, ev_timed, "probe event streams diverged at n={}", n);
+        prop_assert_eq!(ctr_slept, ctr_timed, "Darshan counters diverged at n={}", n);
+        prop_assert_eq!(t_slept, t_timed, "final virtual clocks diverged at n={}", n);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
-    fn equal_time_wakeups_run_in_spawn_order_across_flavors(
+    fn equal_time_wakeups_run_in_spawn_order_across_wait_kinds(
         k in 1usize..49,
-        flavors in any::<u64>(),
+        kinds in any::<u64>(),
     ) {
-        // All k tasks become runnable at t=0; the run order must be the
-        // spawn order whatever mix of carriers and event tasks `flavors`
-        // selects.
+        // All k tasks become runnable again at t=1ms; the run order must
+        // be the spawn order whatever mix of sleeps and timed-out waits
+        // `kinds` selects.
         let sim = Sim::new();
         let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
         for i in 0..k {
             let order = order.clone();
-            if flavors >> (i % 64) & 1 == 1 {
-                sim.spawn_event(format!("e{i}"), move |_cx: &mut EventCx| {
-                    order.lock().push(i);
-                    EventPoll::Done
-                });
-            } else {
-                sim.spawn(format!("c{i}"), move || {
-                    order.lock().push(i);
-                });
-            }
+            let timed = kinds >> (i % 64) & 1 == 1;
+            sim.spawn(format!("t{i}"), move || {
+                let d = Duration::from_millis(1);
+                if timed {
+                    assert!(!Event::new().wait_timeout(d));
+                } else {
+                    tf_darshan::simrt::sleep(d);
+                }
+                order.lock().push(i);
+            });
         }
         sim.run();
         let got = order.lock().clone();
